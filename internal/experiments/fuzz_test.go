@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -52,6 +53,65 @@ func FuzzParseEvalRequest(f *testing.F) {
 		}
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("round-trip unstable:\nfirst:  %+v\nsecond: %+v\nencoded: %s", req, again, encoded)
+		}
+	})
+}
+
+// FuzzParseEvalRequestFastPath is the differential check on the one-pass
+// decoder: whenever decodeEvalFast handles an input, encoding/json must
+// decode the identical request, and normalize must then give the same
+// canonical request or the same error.
+func FuzzParseEvalRequestFastPath(f *testing.F) {
+	seeds := []string{
+		string(inlineTestBody(1024, 1, "window:entries=8")),
+		string(inlineTestBody(1024, 2, "context:table=64,sr=8")),
+		`{"workload":"li","bus":"reg","scheme":"gray:lambda=1.0009765625","quick":true,"max_bus_values":2048}`,
+		`{"Values":[1],"scheme":"raw"}`,
+		`{"values":[1],"SCHEME":"raw"}`,
+		`{"values":[1],"values":[2],"scheme":"raw"}`,
+		`{"values":[1],"scheme":"r\u0061w"}`,
+		`{"values":[1],"scheme":"raw\n"}`,
+		`{"values":null,"random":5,"scheme":"raw"}`,
+		`{"values":[1],"scheme":"raw","lambda":null}`,
+		`{"values":[-0],"scheme":"raw"}`,
+		`{"random":-0,"scheme":"raw"}`,
+		`{"values":[1e3],"scheme":"raw"}`,
+		`{"values":[1.0],"scheme":"raw"}`,
+		`{"values":[01],"scheme":"raw"}`,
+		`{"values":[18446744073709551615],"scheme":"raw"}`,
+		`{"values":[18446744073709551616],"scheme":"raw"}`,
+		`{"values":[99999999999999999999],"scheme":"raw"}`,
+		`{"values":[],"random":3,"scheme":"raw"}`,
+		`{"values":[1],"scheme":"raw","lambda":-0}`,
+		`{"values":[1],"scheme":"raw","lambda":2.5e-1}`,
+		`{"values":[1],"scheme":"raw","lambda":1e309}`,
+		`{"workload":"li","bus":"reg","scheme":"raw","quick":false,"max_instructions":100}`,
+		`{"workload":"li","bus":"reg","scheme":"raw","max_instructions":-1}`,
+		`{"values":[1],"scheme":"raw"}]`,
+		`{"values":[1],"scheme":"raw"}}`,
+		`{"values":[1],"scheme":"raw"} x`,
+		" \t\r\n{ \"values\" : [ 1 , 2 ] , \"scheme\" : \"raw\" } \n",
+		`{"values":[1],"scheme":"raw",}`,
+		`{}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fast, ok := decodeEvalFast(data)
+		if !ok {
+			return
+		}
+		ref, err := decodeEvalJSON(data)
+		if err != nil {
+			t.Fatalf("fast path accepted what encoding/json rejects (%v)\ninput: %q", err, data)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("decoders disagree:\nfast: %+v\njson: %+v\ninput: %q", fast, ref, data)
+		}
+		fastErr, refErr := fast.normalize(), ref.normalize()
+		if fmt.Sprint(fastErr) != fmt.Sprint(refErr) || !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("normalize disagrees:\nfast: %+v (%v)\njson: %+v (%v)\ninput: %q", fast, fastErr, ref, refErr, data)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -122,24 +123,42 @@ type EvalResponse struct {
 }
 
 // ParseEvalRequest decodes, validates and canonicalizes a JSON-encoded
-// EvalRequest. Unknown fields are rejected. On success the returned
-// request is in canonical form: re-encoding it with encoding/json and
-// parsing that yields an identical request (the property
-// FuzzParseEvalRequest proves), so canonical requests are usable as
-// cache identities.
+// EvalRequest. Unknown fields and anything but whitespace after the
+// object are rejected. On success the returned request is in canonical
+// form: re-encoding it with encoding/json and parsing that yields an
+// identical request (the property FuzzParseEvalRequest proves), so
+// canonical requests are usable as cache identities.
+//
+// Bodies in the common shape decode in one pass (decodeEvalFast); every
+// other body goes through encoding/json, which gives the identical
+// request or the error (FuzzParseEvalRequestFastPath proves it).
 func ParseEvalRequest(data []byte) (EvalRequest, error) {
+	req, ok := decodeEvalFast(data)
+	if !ok {
+		var err error
+		if req, err = decodeEvalJSON(data); err != nil {
+			return EvalRequest{}, err
+		}
+	}
+	if err := req.normalize(); err != nil {
+		return EvalRequest{}, err
+	}
+	return req, nil
+}
+
+// decodeEvalJSON decodes a request with encoding/json: exactly one JSON
+// object, no unknown fields, nothing but whitespace after it.
+func decodeEvalJSON(data []byte) (EvalRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req EvalRequest
 	if err := dec.Decode(&req); err != nil {
 		return EvalRequest{}, fmt.Errorf("experiments: bad eval request: %w", err)
 	}
-	// Exactly one JSON value, nothing trailing.
-	if dec.More() {
+	// dec.More reports false on a closing ']' or '}', so look at the
+	// bytes themselves.
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
 		return EvalRequest{}, fmt.Errorf("experiments: bad eval request: trailing data after JSON object")
-	}
-	if err := req.normalize(); err != nil {
-		return EvalRequest{}, err
 	}
 	return req, nil
 }
@@ -213,11 +232,12 @@ func (r *EvalRequest) normalize() error {
 	if err != nil {
 		return err
 	}
-	r.Verify = policy.String()
-	// "sampled:64" is the default period's canonical String form; keep the
-	// shorter spelling stable under re-parsing.
-	if r.Verify == coding.VerifySampled(0).String() {
+	// The default period's String form is "sampled:64"; keep the shorter
+	// spelling stable under re-parsing.
+	if policy == coding.VerifySampled(0) {
 		r.Verify = "sampled"
+	} else {
+		r.Verify = policy.String()
 	}
 	return nil
 }
@@ -250,36 +270,56 @@ func (r *EvalRequest) sourceID(width int) (traceID, string) {
 		// Inline traces are content-addressed so a resubmitted trace hits
 		// the eval memo. The data width is part of the identity because
 		// the shared raw meter is measured at it.
-		h := sha256.New()
-		var b [8]byte
-		for _, v := range r.Values {
-			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-			h.Write(b[:])
-		}
-		sum := hex.EncodeToString(h.Sum(nil)[:12])
-		name := fmt.Sprintf("inline:%s/w%d", sum, width)
+		sum := valuesDigest(r.Values)
+		name := fmt.Sprintf("inline:%s/w%d", hex.EncodeToString(sum[:12]), width)
 		return traceID{source: name, n: len(r.Values)}, name
 	}
 }
 
+// valuesDigest is the SHA-256 of vals as consecutive little-endian
+// 64-bit words, hashed through a fixed-size chunk.
+func valuesDigest(vals []uint64) [sha256.Size]byte {
+	h := sha256.New()
+	var chunk [512]byte
+	for len(vals) > 0 {
+		n := min(len(vals), len(chunk)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(chunk[8*i:], v)
+		}
+		h.Write(chunk[:8*n])
+		vals = vals[n:]
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
 // RequestKey derives a request's canonical cluster-wide identity: the
-// SHA-256 (hex) of its canonical JSON encoding. The request must be in
-// canonical form (as ParseEvalRequest returns); two requests describing
-// the same evaluation — however their JSON was originally spelled — get
-// the same key. The serving layer's consistent-hash ring shards the
-// eval-result state on this key, so every replica derives the same
+// SHA-256 (hex) over the canonical request's JSON encoding without its
+// values, then a "values" tag with the value count, then valuesDigest of
+// the values. Inline values are thus hashed once as words, never
+// re-marshalled. The request must be in canonical form (as
+// ParseEvalRequest returns); two requests describing the same
+// evaluation, however their JSON was originally spelled, get the same
+// key. The serving layer's consistent-hash ring shards the eval-result
+// state on this key, so every replica of one version derives the same
 // owner without coordination.
 func RequestKey(req EvalRequest) (string, error) {
 	if err := req.normalize(); err != nil {
 		return "", err
 	}
-	data, err := json.Marshal(req)
+	values := req.Values
+	req.Values = nil
+	header, err := json.Marshal(req)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	digest := valuesDigest(values)
+	h := sha256.New()
+	h.Write(header)
+	h.Write(binary.LittleEndian.AppendUint64([]byte("values"), uint64(len(values))))
+	h.Write(digest[:])
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // EvaluateRequest answers one evaluation request through the shared

@@ -105,6 +105,8 @@ func TestParseEvalRequestValidates(t *testing.T) {
 	}{
 		{`{`, "bad eval request"},
 		{`{} {}`, "trailing data"},
+		{`{"values":[1],"scheme":"raw"}]`, "trailing data"},
+		{`{"values":[1],"scheme":"raw"}}`, "trailing data"},
 		{`{"scheme":"raw"}`, "exactly one source"},
 		{`{"workload":"li","bus":"reg","random":5,"scheme":"raw"}`, "exactly one source"},
 		{`{"workload":"li","scheme":"raw"}`, "both workload and bus"},

@@ -199,7 +199,9 @@ func ParseSpec(data []byte) ([]Item, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("jobs: bad job spec: %w", err)
 	}
-	if dec.More() {
+	// dec.More reports false on a closing ']' or '}', so look at the
+	// bytes themselves.
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
 		return nil, errors.New("jobs: bad job spec: trailing data after JSON object")
 	}
 	if (len(spec.Requests) == 0) == (spec.Suite == nil) {

@@ -69,6 +69,8 @@ func TestParseSpecRejects(t *testing.T) {
 		{"unknown field", `{"turbo":1}`, "unknown field"},
 		{"not json", `nope`, "bad job spec"},
 		{"trailing data", `{"suite":{"experiments":"all"}}[]`, "trailing data"},
+		{"trailing bracket", `{"suite":{"experiments":"all"}}]`, "trailing data"},
+		{"trailing brace", `{"suite":{"experiments":"all"}} }`, "trailing data"},
 		{"bad request", `{"requests":[{"values":[1],"scheme":"quantum"}]}`, "request 0"},
 		{"unbuildable scheme", `{"requests":[{"values":[1],"scheme":"spatial"}]}`, "request 0"},
 		{"bad suite id", `{"suite":{"experiments":"figXX"}}`, "unknown experiment"},

@@ -140,9 +140,36 @@ func (s *Server) evalResponseBytes(r *http.Request, req experiments.EvalRequest,
 	return data, nil
 }
 
-// readBody reads the size-capped request body.
+// maxBodyPrealloc caps how much readBody allocates up front on the word
+// of a Content-Length header, so a header that lies cannot force a large
+// allocation; a bigger body grows the buffer as it arrives.
+const maxBodyPrealloc = 64 << 10
+
+// readBody reads the size-capped request body into a buffer sized from
+// Content-Length, so a typical body takes one allocation instead of
+// io.ReadAll's doubling.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body := http.MaxBytesReader(w, r.Body, limit)
+	size := int64(512) // io.ReadAll's starting size when the length is unknown
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyPrealloc)
+	}
+	size = max(0, min(size, limit))
+	// The spare byte lets the final read see EOF without growing the buffer.
+	buf := make([]byte, 0, size+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // writeBodyError maps a readBody failure to 413 (over the cap) or 400.

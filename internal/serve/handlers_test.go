@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,6 +124,63 @@ func TestEvalMatchesDirectPath(t *testing.T) {
 	if got != *want {
 		t.Fatalf("served response diverges from engine:\ngot  %+v\nwant %+v", got, *want)
 	}
+}
+
+// TestEvalInlineGolden pins an inline request's identity and bytes: the
+// content-addressed Source name and the full /v1/eval response must not
+// drift when the parse or key path changes.
+func TestEvalInlineGolden(t *testing.T) {
+	body, err := os.ReadFile("testdata/inline_eval_body.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/inline_eval_response.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := testServer(t, Options{})
+	rec := postEval(srv.Handler(), string(body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("response bytes drifted:\ngot  %s\nwant %s", got, want)
+	}
+	var resp experiments.EvalResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Source != "inline:295e37a76ca70a583327c1f2/w32" {
+		t.Fatalf("source %q drifted", resp.Source)
+	}
+}
+
+// TestReadBodyPrealloc: the buffer is sized from Content-Length, so an
+// honest body is read without growing, and a lying header cannot make
+// readBody allocate more than maxBodyPrealloc up front.
+func TestReadBodyPrealloc(t *testing.T) {
+	read := func(body string, contentLength int64) []byte {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/eval", strings.NewReader(body))
+		r.ContentLength = contentLength
+		got, err := readBody(httptest.NewRecorder(), r, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != body {
+			t.Fatalf("read %d bytes, want %d", len(got), len(body))
+		}
+		return got
+	}
+	body := strings.Repeat("7", 10<<10)
+	if got := read(body, int64(len(body))); cap(got) != len(body)+1 {
+		t.Errorf("honest Content-Length: cap %d, want %d", cap(got), len(body)+1)
+	}
+	if got := read("{}", 1<<30); cap(got) > maxBodyPrealloc+1 {
+		t.Errorf("lying Content-Length: cap %d, want at most %d", cap(got), maxBodyPrealloc+1)
+	}
+	read(body, -1)                                                  // unknown length
+	read(strings.Repeat("7", 3*maxBodyPrealloc), 3*maxBodyPrealloc) // grows past the preallocation
 }
 
 func TestEvalOversizedBody(t *testing.T) {
