@@ -153,7 +153,8 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // TestEncodeAllocs is the allocation regression guard for the encoder hot
-// paths: a warmed Window or Context encoder allocates nothing per cycle.
+// paths: a warmed Window, Context or optimal-codebook encoder (whose
+// value memo lives inside the encoder) allocates nothing per cycle.
 func TestEncodeAllocs(t *testing.T) {
 	trace := fuzzValues(func() []byte {
 		data := make([]byte, 600)
@@ -167,6 +168,10 @@ func TestEncodeAllocs(t *testing.T) {
 		"context-128": func() (Transcoder, error) {
 			return NewContext(ContextConfig{Width: 32, TableSize: 128, ShiftEntries: 8, DividePeriod: 4096, Lambda: 1})
 		},
+		"optmem+2":       func() (Transcoder, error) { return NewOptMem(32, 2) },
+		"vc+2":           func() (Transcoder, error) { return NewVC(32, 2) },
+		"lowweight-g4+1": func() (Transcoder, error) { return NewLowWeight(32, 4, 1) },
+		"dvs+2":          func() (Transcoder, error) { return NewDVS(32, 2, 80) },
 	} {
 		tc, err := build()
 		if err != nil {

@@ -1,8 +1,9 @@
 package coding
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"buspower/internal/bus"
 )
@@ -35,11 +36,19 @@ func NewCodebook(width, n int, lambda float64) (*Codebook, error) {
 		return nil, fmt.Errorf("coding: codebook size %d exceeds %d codewords of weight ≤ 3 for width %d", n, max, width)
 	}
 
+	// Only the weight classes the codebook reaches are enumerated.
+	nc := width
+	if n > 1+width {
+		nc += choose2(width)
+	}
+	if n > 1+width+choose2(width) {
+		nc += choose3(width)
+	}
 	type cand struct {
 		w    bus.Word
 		cost float64
 	}
-	var cands []cand
+	cands := make([]cand, 0, nc)
 	add := func(w bus.Word) {
 		weight := float64(bus.Weight(w))
 		coupling := float64(bus.ExpectedSelfCoupling(w, width)) / 2
@@ -67,11 +76,14 @@ func NewCodebook(width, n int, lambda float64) (*Codebook, error) {
 			}
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].cost != cands[b].cost {
-			return cands[a].cost < cands[b].cost
+	// Words are distinct, so (cost, word) is a total order whenever no
+	// cost is NaN (Λ is validated finite and non-negative upstream) and
+	// the unstable sort yields exactly the stable sort's order.
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
 		}
-		return cands[a].w < cands[b].w
+		return cmp.Compare(a.w, b.w)
 	})
 
 	cb := &Codebook{

@@ -31,6 +31,7 @@ package coding
 
 import (
 	"fmt"
+	"slices"
 
 	"buspower/internal/bus"
 )
@@ -352,12 +353,14 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 		ev.dec.Reset()
 		n := len(trace)
 		every := ev.Verify.every
-		ev.sample = ev.sample[:0]
 		// The loop is split at the window boundaries so the long middle
 		// stretch carries no per-cycle verification branches (and no i%every
 		// division — the next sample index is tracked by a counter).
 		head := min(VerifyWindow, n)
 		tail := max(n-VerifyWindow, head)
+		// Size the sample once: the whole tail window plus at most one
+		// value per every cycles in between.
+		ev.sample = slices.Grow(ev.sample[:0], n-tail+(tail-head+every-1)/every)
 		for i := 0; i < head; i++ {
 			v := trace[i] & ev.mask
 			w := ev.enc.Encode(v)

@@ -107,24 +107,24 @@ func (t *DVSTranscoder) gridOps(cycles uint64) OpStats {
 	}
 }
 
-// encodeWord maps (previous state, value) to the next full-bus state:
-// the transition vector XORed onto the coded wires, and the parity wire
-// (bit t.wires) set to the running parity of the data stream.
-func (t *DVSTranscoder) encodeWord(state, v uint64) uint64 {
-	state ^= ballUnrank(t.wires, v)
-	state ^= uint64(bits.OnesCount64(v)&1) << uint(t.wires)
-	return state
+// transition returns the full-bus transition vector of a (masked) data
+// value: the vc transition vector on the coded wires (through memo), and
+// the parity wire (bit t.wires) toggled when the value has odd weight,
+// so the wire carries the running parity of the data stream.
+func (t *DVSTranscoder) transition(memo *wordMemo, v uint64) uint64 {
+	return memo.unrank(t.wires, v) ^ uint64(bits.OnesCount64(v)&1)<<uint(t.wires)
 }
 
 type dvsEncoder struct {
 	t      *DVSTranscoder
 	state  uint64
 	cycles uint64
+	memo   wordMemo
 }
 
 func (e *dvsEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state = e.t.encodeWord(e.state, v&uint64(bus.Mask(e.t.width)))
+	e.state ^= e.t.transition(&e.memo, v&uint64(bus.Mask(e.t.width)))
 	return bus.Word(e.state)
 }
 
@@ -161,8 +161,9 @@ func dvsCodedMeter(t *DVSTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
 	var state uint64
+	var memo wordMemo
 	for i, v := range trace {
-		state = t.encodeWord(state, v&mask)
+		state ^= t.transition(&memo, v&mask)
 		coded[i] = state
 	}
 	return bus.NewSlicedTrace(t.wires+1, coded).MeterLite()

@@ -120,16 +120,21 @@ func (t *LowWeightTranscoder) gridOps(cycles uint64) OpStats {
 	}
 }
 
-// transition maps a data value to the full-bus transition vector: each
-// group's sub-value unranked into its transition ball, placed at the
-// group's wire offset.
-func (t *LowWeightTranscoder) transition(v uint64) uint64 {
+// transition maps a (masked) data value to the full-bus transition
+// vector through memo: each group's sub-value unranked into its
+// transition ball, placed at the group's wire offset.
+func (t *LowWeightTranscoder) transition(memo *wordMemo, v uint64) uint64 {
+	me := memo.entry(v)
+	if me.tag == v+1 {
+		return me.word
+	}
 	var tv uint64
 	for i := range t.grp {
 		g := &t.grp[i]
 		sub := (v >> g.shift) & uint64(bus.Mask(g.bits))
 		tv |= ballUnrank(g.wires, sub) << g.off
 	}
+	me.tag, me.word = v+1, tv
 	return tv
 }
 
@@ -137,11 +142,12 @@ type lowWeightEncoder struct {
 	t      *LowWeightTranscoder
 	state  uint64
 	cycles uint64
+	memo   wordMemo
 }
 
 func (e *lowWeightEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state ^= e.t.transition(v & uint64(bus.Mask(e.t.width)))
+	e.state ^= e.t.transition(&e.memo, v&uint64(bus.Mask(e.t.width)))
 	return bus.Word(e.state)
 }
 
@@ -175,8 +181,9 @@ func lowWeightCodedMeter(t *LowWeightTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
 	var state uint64
+	var memo wordMemo
 	for i, v := range trace {
-		state ^= t.transition(v & mask)
+		state ^= t.transition(&memo, v&mask)
 		coded[i] = state
 	}
 	return bus.NewSlicedTrace(t.wires, coded).MeterLite()

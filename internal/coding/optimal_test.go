@@ -13,12 +13,14 @@ import (
 // source constructions guarantee.
 
 // TestBallRankUnrankBijection enumerates every n-bit word through the
-// ball ordering and checks it is a weight-monotone bijection: ranks are
-// exhaustive, unrank inverts rank, and weight never decreases with index.
+// ball ordering and checks it is a (weight, value)-ordered bijection:
+// ranks are exhaustive, unrank inverts rank, weight never decreases with
+// index, and words rise numerically inside each weight class.
 func TestBallRankUnrankBijection(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 11} {
 		seen := make([]bool, 1<<uint(n))
 		prevWeight := 0
+		var prevWord uint64
 		for idx := uint64(0); idx < 1<<uint(n); idx++ {
 			word := ballUnrank(n, idx)
 			if word >= 1<<uint(n) {
@@ -33,9 +35,12 @@ func TestBallRankUnrankBijection(t *testing.T) {
 			}
 			if w := bits.OnesCount64(word); w < prevWeight {
 				t.Fatalf("n=%d idx=%d: weight %d below previous %d — not weight-ordered", n, idx, w, prevWeight)
+			} else if idx > 0 && w == prevWeight && word <= prevWord {
+				t.Fatalf("n=%d idx=%d: word %#x not above previous %#x inside weight class %d", n, idx, word, prevWord, w)
 			} else {
 				prevWeight = w
 			}
+			prevWord = word
 		}
 	}
 }
@@ -47,9 +52,9 @@ func TestBallRadius(t *testing.T) {
 		count uint64
 		want  int
 	}{
-		{3, 4, 1},        // 1 + 3 ≥ 4
-		{3, 5, 2},        // needs weight-2 words
-		{8, 256, 8},      // full space: radius = n
+		{3, 4, 1},         // 1 + 3 ≥ 4
+		{3, 5, 2},         // needs weight-2 words
+		{8, 256, 8},       // full space: radius = n
 		{34, 1 << 32, 15}, // 32-bit bus + 2 wires: Σ C(34,i), i≤15 ≥ 2^32
 	}
 	for _, c := range cases {
@@ -245,7 +250,7 @@ func TestOptimalConstructorBounds(t *testing.T) {
 		func() (Transcoder, error) { return NewVC(62, 1) }, // 63 wires
 		func() (Transcoder, error) { return NewLowWeight(32, 0, 1) },
 		func() (Transcoder, error) { return NewLowWeight(32, 9, 1) },
-		func() (Transcoder, error) { return NewLowWeight(2, 4, 1) }, // groups > width
+		func() (Transcoder, error) { return NewLowWeight(2, 4, 1) },  // groups > width
 		func() (Transcoder, error) { return NewLowWeight(32, 8, 4) }, // 64 wires
 		func() (Transcoder, error) { return NewDVS(32, 2, 40) },
 		func() (Transcoder, error) { return NewDVS(32, 2, 101) },

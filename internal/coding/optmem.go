@@ -94,11 +94,12 @@ func (t *OptMemTranscoder) gridOps(cycles uint64) OpStats {
 type optMemEncoder struct {
 	t      *OptMemTranscoder
 	cycles uint64
+	memo   wordMemo
 }
 
 func (e *optMemEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	return bus.Word(ballUnrank(e.t.wires, v&uint64(bus.Mask(e.t.width))))
+	return bus.Word(e.memo.unrank(e.t.wires, v&uint64(bus.Mask(e.t.width))))
 }
 
 func (e *optMemEncoder) BusWidth() int { return e.t.wires }
@@ -120,8 +121,9 @@ func (d *optMemDecoder) Reset() {}
 func optMemCodedMeter(t *OptMemTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
+	var memo wordMemo
 	for i, v := range trace {
-		coded[i] = ballUnrank(t.wires, v&mask)
+		coded[i] = memo.unrank(t.wires, v&mask)
 	}
 	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
 }

@@ -24,7 +24,10 @@ type PartialBusInvert struct {
 	width         int
 	groups        int
 	assumedLambda float64
-	bounds        []int // group g spans data bits [bounds[g], bounds[g+1])
+	groupMasks    []bus.Word // group g's data wires
+	pairMask      bus.Word   // Mask(width+groups-1): adjacent pairs incl. invert wires
+	lambdaInt     uint64     // integral Λ when lambdaIsInt
+	lambdaIsInt   bool
 	name          string
 }
 
@@ -38,15 +41,20 @@ func NewPartialBusInvert(width, groups int, assumedLambda float64) (*PartialBusI
 	if width+groups > bus.MaxWidth {
 		return nil, fmt.Errorf("coding: width %d + %d invert wires exceeds %d", width, groups, bus.MaxWidth)
 	}
-	bounds := make([]int, groups+1)
-	for g := 0; g <= groups; g++ {
-		bounds[g] = g * width / groups
+	// Group g spans data bits [g·width/groups, (g+1)·width/groups).
+	masks := make([]bus.Word, groups)
+	for g := range masks {
+		masks[g] = bus.Mask((g+1)*width/groups) &^ bus.Mask(g*width/groups)
 	}
+	li, ok := intLambda(assumedLambda)
 	return &PartialBusInvert{
 		width:         width,
 		groups:        groups,
 		assumedLambda: assumedLambda,
-		bounds:        bounds,
+		groupMasks:    masks,
+		pairMask:      bus.Mask(width + groups - 1),
+		lambdaInt:     li,
+		lambdaIsInt:   ok,
 		name:          fmt.Sprintf("partial-businvert-%dg", groups),
 	}, nil
 }
@@ -69,9 +77,17 @@ func (t *PartialBusInvert) NewEncoder() Encoder { return &pbiEncoder{t: t} }
 // NewDecoder implements Transcoder.
 func (t *PartialBusInvert) NewDecoder() Decoder { return &pbiDecoder{t: t} }
 
-func (t *PartialBusInvert) groupMask(g int) bus.Word {
-	lo, hi := t.bounds[g], t.bounds[g+1]
-	return bus.Mask(hi) &^ bus.Mask(lo)
+// flipCheaper reports whether moving the bus from state to flipped costs
+// strictly less than moving it to plain. Both candidates lie within the
+// coded width, so bus.CostMasked equals bus.Cost here, and for integral
+// Λ bus.CostMaskedInt orders them identically (see its comment).
+func (t *PartialBusInvert) flipCheaper(state, plain, flipped bus.Word) bool {
+	if t.lambdaIsInt {
+		return bus.CostMaskedInt(state, flipped, t.pairMask, t.lambdaInt) <
+			bus.CostMaskedInt(state, plain, t.pairMask, t.lambdaInt)
+	}
+	return bus.CostMasked(state, flipped, t.pairMask, t.assumedLambda) <
+		bus.CostMasked(state, plain, t.pairMask, t.assumedLambda)
 }
 
 type pbiEncoder struct {
@@ -86,18 +102,15 @@ func (e *pbiEncoder) Encode(v uint64) bus.Word {
 	t := e.t
 	e.ops.Cycles++
 	e.ops.RawSends++
-	w := e.BusWidth()
 	// Greedy per-group choice, left to right; each group's decision sees
 	// the bus as settled so far, so boundary coupling is accounted.
 	cand := e.state
-	for g := 0; g < t.groups; g++ {
-		gm := t.groupMask(g)
+	for g, gm := range t.groupMasks {
 		iw := bus.Word(1) << uint(t.width+g)
-		plain := (cand &^ gm) | (bus.Word(v) & gm)
-		plain &^= iw
-		flipped := (cand &^ gm) | (^bus.Word(v) & gm)
-		flipped |= iw
-		if bus.Cost(e.state, flipped, w, t.assumedLambda) < bus.Cost(e.state, plain, w, t.assumedLambda) {
+		keep := cand &^ gm &^ iw
+		plain := keep | bus.Word(v)&gm
+		flipped := keep | ^bus.Word(v)&gm | iw
+		if t.flipCheaper(e.state, plain, flipped) {
 			cand = flipped
 		} else {
 			cand = plain
@@ -117,9 +130,9 @@ type pbiDecoder struct {
 func (d *pbiDecoder) Decode(w bus.Word) uint64 {
 	t := d.t
 	v := uint64(w & bus.Mask(t.width))
-	for g := 0; g < t.groups; g++ {
+	for g, gm := range t.groupMasks {
 		if w&(bus.Word(1)<<uint(t.width+g)) != 0 {
-			v ^= uint64(t.groupMask(g))
+			v ^= uint64(gm)
 		}
 	}
 	return v

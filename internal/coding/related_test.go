@@ -227,3 +227,97 @@ func TestWorkzoneValidation(t *testing.T) {
 		}
 	}
 }
+
+// pbiCostOracle is partial bus-invert's per-cycle decision written
+// directly against bus.Cost: each group's plain and flipped candidate
+// priced over the whole coded width, masks derived per call.
+func pbiCostOracle(t *PartialBusInvert, state bus.Word, v uint64) bus.Word {
+	w := t.width + t.groups
+	cand := state
+	for g := 0; g < t.groups; g++ {
+		gm := bus.Mask((g+1)*t.width/t.groups) &^ bus.Mask(g*t.width/t.groups)
+		iw := bus.Word(1) << uint(t.width+g)
+		plain := (cand &^ gm) | (bus.Word(v) & gm)
+		plain &^= iw
+		flipped := (cand &^ gm) | (^bus.Word(v) & gm)
+		flipped |= iw
+		if bus.Cost(state, flipped, w, t.assumedLambda) < bus.Cost(state, plain, w, t.assumedLambda) {
+			cand = flipped
+		} else {
+			cand = plain
+		}
+	}
+	return cand
+}
+
+// checkPBIDecisions drives one encoder over vals and requires every
+// emitted word to equal the bus.Cost oracle's.
+func checkPBIDecisions(t *testing.T, width, groups int, lambda float64, vals []uint64) {
+	t.Helper()
+	pbi, err := NewPartialBusInvert(width, groups, lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := pbi.NewEncoder()
+	var state bus.Word
+	for i, v := range vals {
+		want := pbiCostOracle(pbi, state, v)
+		if got := enc.Encode(v); got != want {
+			t.Fatalf("w%d g%d Λ=%g cycle %d: Encode(%#x) = %#x, bus.Cost oracle %#x", width, groups, lambda, i, v, got, want)
+		}
+		state = want
+	}
+}
+
+// pbiLambdas covers the integral fast path (0, 1, 2) and the float path
+// (0.5, and a non-integral Λ just above 1).
+var pbiLambdas = []float64{0, 0.5, 1, 2, 1 + 3.0/1024}
+
+// TestPartialBusInvertMatchesCostOracle pins the hoisted-mask encoder to
+// the bus.Cost decision on random traces across widths, group counts and
+// both the integral and fractional Λ paths.
+func TestPartialBusInvertMatchesCostOracle(t *testing.T) {
+	rng := stats.NewRNG(11)
+	vals := make([]uint64, 3000)
+	for i := range vals {
+		switch i % 4 {
+		case 0:
+			vals[i] = rng.Uint64()
+		case 1:
+			vals[i] = vals[i-1] ^ 1<<(rng.Uint64()%64) // one-bit change
+		default:
+			vals[i] = rng.Uint64() & 0xFF00FF
+		}
+	}
+	for _, width := range []int{1, 7, 16, 32, 40} {
+		for _, groups := range []int{1, 2, 3, 4, 8} {
+			if groups > width {
+				continue
+			}
+			for _, lambda := range pbiLambdas {
+				checkPBIDecisions(t, width, groups, lambda, vals)
+			}
+		}
+	}
+}
+
+// FuzzPartialBusInvertMatchesCostOracle is the fuzzed form of
+// TestPartialBusInvertMatchesCostOracle.
+func FuzzPartialBusInvertMatchesCostOracle(f *testing.F) {
+	f.Add(uint8(32), uint8(4), []byte("partial bus-invert decisions"))
+	f.Add(uint8(16), uint8(3), []byte{0, 0xFF, 0x0F, 0xF0, 0xAA, 0x55})
+	f.Fuzz(func(t *testing.T, wb, gb uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		width := 1 + int(wb)%56
+		groups := 1 + int(gb)%min(8, width)
+		vals := fuzzValues(data)
+		for i := range vals {
+			vals[i] |= vals[i] << 19 // reach the upper data wires
+		}
+		for _, lambda := range pbiLambdas {
+			checkPBIDecisions(t, width, groups, lambda, vals)
+		}
+	})
+}

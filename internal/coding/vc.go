@@ -91,11 +91,12 @@ type vcEncoder struct {
 	t      *VCTranscoder
 	state  uint64
 	cycles uint64
+	memo   wordMemo
 }
 
 func (e *vcEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state ^= ballUnrank(e.t.wires, v&uint64(bus.Mask(e.t.width)))
+	e.state ^= e.memo.unrank(e.t.wires, v&uint64(bus.Mask(e.t.width)))
 	return bus.Word(e.state)
 }
 
@@ -123,8 +124,9 @@ func vcCodedMeter(t *VCTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
 	var state uint64
+	var memo wordMemo
 	for i, v := range trace {
-		state ^= ballUnrank(t.wires, v&mask)
+		state ^= memo.unrank(t.wires, v&mask)
 		coded[i] = state
 	}
 	return bus.NewSlicedTrace(t.wires, coded).MeterLite()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"runtime"
@@ -91,6 +92,46 @@ func TestParseEvalRequestAllocs(t *testing.T) {
 		t.Errorf("ParseEvalRequest of a 1024-value body: %.1f allocs, %.0f B per call; budget 6 allocs, %d B", allocs, bytes, 16<<10)
 	}
 }
+
+// TestEvaluateRequestEnumAllocs bounds what one served cache miss on an
+// optimal-codebook scheme allocates: a 1024-value inline optmem request,
+// each with fresh values so the result and raw-meter memos miss as in
+// serving. The budget sits 2 KiB above the bytes measured before the
+// enumerative coders gained their per-encoder memo, so growing that memo
+// (or any per-request scratch on this path) fails here.
+func TestEvaluateRequestEnumAllocs(t *testing.T) {
+	const runs = 40
+	reqs := make([]EvalRequest, runs+1)
+	for i := range reqs {
+		req, err := ParseEvalRequest(inlineTestBody(1024, uint64(1000+i), "optmem:extra=2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = req
+	}
+	eval := func(req EvalRequest) {
+		if _, err := EvaluateRequest(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval(reqs[runs])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs[:runs] {
+		eval(req)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	const budget = enumEvalBytes + 2<<10
+	if bytes > budget {
+		t.Errorf("EvaluateRequest(optmem:extra=2, 1024 inline values): %.0f B per miss; budget %d B", bytes, budget)
+	}
+}
+
+// enumEvalBytes is TestEvaluateRequestEnumAllocs's per-miss allocation
+// measured before the per-encoder value memo (and before sampled
+// verification presized its sample buffer).
+const enumEvalBytes = 13086
 
 // TestValuesDigest checks the chunked digest against hashing the whole
 // little-endian encoding at once, across chunk boundaries.
