@@ -71,13 +71,6 @@ type E2EResult struct {
 	DiskColdMS float64 `json:"disk_cold_ms,omitempty"`
 	DiskWarmMS float64 `json:"disk_warm_ms,omitempty"`
 
-	// SlicedPlaneHits/Misses snapshot the sliced-plane (bit-transposed
-	// trace) cache counters over the disk-warm pass (the last quick
-	// phase after a memo clear): hits are grids served an existing
-	// transposition, misses are transpositions built.
-	SlicedPlaneHits   uint64 `json:"sliced_plane_hits,omitempty"`
-	SlicedPlaneMisses uint64 `json:"sliced_plane_misses,omitempty"`
-
 	// Full-scale phase (paper axes, full trace lengths).
 	FullColdMS            float64 `json:"full_cold_ms,omitempty"`
 	FullWarmMS            float64 `json:"full_warm_ms,omitempty"`
@@ -242,9 +235,6 @@ func Run(opts Options) (*Report, error) {
 			}
 			if e2e.DiskWarmMS > 0 {
 				opts.Progress(fmt.Sprintf("%-32s %12.1f ms cold %10.1f ms warm", "E2E/disk-cache", e2e.DiskColdMS, e2e.DiskWarmMS))
-			}
-			if e2e.SlicedPlaneHits+e2e.SlicedPlaneMisses > 0 {
-				opts.Progress(fmt.Sprintf("%-32s %12d hits %10d misses", "E2E/sliced-planes", e2e.SlicedPlaneHits, e2e.SlicedPlaneMisses))
 			}
 			if e2e.FullColdMS > 0 {
 				opts.Progress(fmt.Sprintf("%-32s %12.1f ms cold %10.1f ms warm (%.1f Mcycles/s)", "E2E/full-scale", e2e.FullColdMS, e2e.FullWarmMS, e2e.FullWarmMCyclesPerSec))

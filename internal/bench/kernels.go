@@ -217,8 +217,7 @@ func benchEnumEncode(build func() (coding.Transcoder, error)) func(b *B) {
 }
 
 // benchGridOptimal fans the four optimal-codebook coders out of one
-// EvaluateGrid pass, exercising their materialize-and-slice fast paths
-// the way the extopt experiment runs them.
+// EvaluateGrid pass, the way the extopt experiment runs them.
 func benchGridOptimal(b *B) {
 	vals := dictTrace(8192, 48)
 	raw := coding.MeasureRawValues(32, vals)
@@ -318,9 +317,9 @@ func evaluateWindowSweep(trace []uint64, sizes []int) ([]float64, error) {
 	return out, nil
 }
 
-// benchSlicedMeter measures the transposed-trace metering primitive the
-// grid engine's stateless fast paths are built on: one transpose of an
-// 8k-value trace into bit planes plus a word-parallel Σλ/Σψ count.
+// benchSlicedMeter measures the transposed-trace metering primitive
+// (bus.SlicedTrace): one transpose of an 8k-value trace into bit planes
+// plus a word-parallel Σλ/Σψ count.
 func benchSlicedMeter(b *B) {
 	vals := dictTrace(8192, 48)
 	b.SetBytes(int64(len(vals)) * 8)
@@ -659,12 +658,9 @@ func runE2E(includeFull bool) (*E2EResult, error) {
 		// means the cache is broken and the timing is a lie.
 		return nil, errDiskCacheCold
 	}
-	sl := experiments.SlicedCacheStats()
 	res := &E2EResult{
 		IDs:               "all",
 		Config:            "quick",
-		SlicedPlaneHits:   sl.Hits,
-		SlicedPlaneMisses: sl.Misses,
 		Jobs:              0,
 		Tables:            tables,
 		ColdMS:            float64(cold.Microseconds()) / 1000,

@@ -353,30 +353,47 @@ func (sc *gridScratch) family(sig string, ts []*WindowTranscoder) *windowFamily 
 	return f
 }
 
-// BatchTrace is one trace of an EvaluateBatch suite, with its optional
-// pre-measured raw meter (at the cells' data width) and sliced-plane
-// provider (as GridOptions.Sliced).
+// BatchTrace is one trace of an EvaluateBatch suite.
 type BatchTrace struct {
 	Values []uint64
-	Raw    *bus.Meter
-	Sliced func(width int) *bus.SlicedTrace
+	// Raw is an optional pre-measured raw-bus meter (as from
+	// MeasureRawValues) for the cells whose data width matches; other
+	// widths are measured once each per trace.
+	Raw *bus.Meter
+	// ID, when non-nil, is the caller's identity for Values: a comparable
+	// value that names the trace's content, so equal IDs promise equal
+	// values. Traces with an ID share stride tapes across calls through
+	// the engine's cache; a trace without one caches nothing.
+	ID any
+	// Cells, when non-nil, selects the cells (indices into the batch's
+	// cells) evaluated on this trace; the other results stay zero.
+	Cells []int
 }
 
-// EvaluateBatch evaluates the same cell grid against every trace,
-// pinning one set of transcoder scratch state — encoder dictionaries,
-// family arenas, meter streams — and streaming all traces through it,
-// so per-trace setup is amortized across the suite. Each call is one
-// worker's unit: callers that shard (the experiment runner's parFor,
-// the serve pool) put disjoint suites on different workers; sharing a
-// batch between goroutines is not supported.
+// EvaluateBatch evaluates the cell grid against every trace. It is the
+// evaluation engine: it pins one set of transcoder scratch state —
+// encoder dictionaries, family arenas, meter streams — and streams all
+// traces through it, so per-trace setup is amortized across the suite,
+// and picks the fast path of each cell internally (see the package's
+// grid notes). Each call is one worker's unit: callers that shard (the
+// experiment runner's parFor, the serve pool) put disjoint suites on
+// different workers; sharing a batch between goroutines is not
+// supported.
+//
+// verify applies to every cell exactly as in Evaluator.Evaluate; under
+// VerifyFull the fast paths (which cannot run a live decoder over the
+// whole stream) step aside and every unique configuration runs the
+// scalar full-verify path, still deduplicated.
 //
 // Results are trace-major: out[i][j] is cell j evaluated on traces[i],
-// bit-identical to EvaluateGrid(cells, traces[i].Values, …).
+// bit-identical to evaluating that cell alone. Cells of one trace that
+// share a configuration share Raw and Coded meter instances; callers
+// that mutate or Reset a meter must Clone it first.
 func EvaluateBatch(cells []GridCell, traces []BatchTrace, verify VerifyPolicy) ([][]Result, error) {
 	var sc gridScratch
 	out := make([][]Result, len(traces))
 	for i := range traces {
-		res, err := sc.evaluate(cells, traces[i].Values, traces[i].Raw, verify, GridOptions{Sliced: traces[i].Sliced})
+		res, err := sc.evaluate(cells, &traces[i], verify)
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,6 @@ package coding
 import (
 	"fmt"
 	"testing"
-
-	"buspower/internal/bus"
 )
 
 // windowFamilyCells builds one window family (shared width and assumed
@@ -202,48 +200,87 @@ func TestEvaluateBatchMatchesGrid(t *testing.T) {
 	}
 }
 
-// TestGridSlicedProvider: a caller-supplied transposition is used as-is
-// (no rebuild), and a provider returning nil falls back to building one.
-func TestGridSlicedProvider(t *testing.T) {
-	const width = 12
-	trace := gridTestTrace(width, 700, 5)
-	g, err := NewGray(width)
+// TestStrideTapeFollowsTraceContent: the stride-tape cache keys on the
+// caller's trace identity, never on the backing array, so a trace
+// mutated in place between grids is never metered off a stale tape.
+func TestStrideTapeFollowsTraceContent(t *testing.T) {
+	trace := gridTestTrace(32, 4096, 9)
+	st, err := NewStride(32, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := []GridCell{{T: NewRaw(width), Lambda: 1}, {T: g, Lambda: 1}}
-	want, err := EvaluateGrid(cells, trace, nil, VerifyOff)
+	cells := []GridCell{{T: st, Lambda: 1}}
+	check := func(label string, got Result) {
+		t.Helper()
+		want, err := Evaluate(st, trace, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareGridResult(t, label, want, got)
+	}
+	grid := func(label string) {
+		t.Helper()
+		got, err := EvaluateGrid(cells, trace, nil, VerifyOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label, got[0])
+	}
+	keyed := func(label string, id any) {
+		t.Helper()
+		got, err := EvaluateBatch(cells, []BatchTrace{{Values: trace, ID: id}}, VerifyOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label, got[0][0])
+	}
+	grid("grid before mutation")
+	keyed("keyed before mutation", "TestStrideTapeFollowsTraceContent/v1")
+	for i := range trace {
+		trace[i] = trace[i]*0x9E3779B97F4A7C15 + uint64(i)
+	}
+	grid("grid after mutation")
+	before := tapeMemo.Stats()
+	keyed("keyed after mutation", "TestStrideTapeFollowsTraceContent/v2")
+	keyed("keyed after mutation, cached", "TestStrideTapeFollowsTraceContent/v2")
+	after := tapeMemo.Stats()
+	if after.Misses-before.Misses != 1 || after.Hits-before.Hits != 1 {
+		t.Errorf("tape cache under a new identity: %d misses / %d hits, want 1 / 1",
+			after.Misses-before.Misses, after.Hits-before.Hits)
+	}
+}
+
+// TestEvaluateBatchSelectsCells: a trace's Cells subset evaluates only
+// those cells (others stay zero) and counts only their cycles.
+func TestEvaluateBatchSelectsCells(t *testing.T) {
+	const width = 16
+	trace := gridTestTrace(width, 900, 13)
+	cells := gridTestCells(t, width)
+	want, err := EvaluateGrid(cells, trace, nil, VerifySampled(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := bus.NewSlicedTrace(width, trace)
-	calls := 0
-	got, err := EvaluateGridOpts(cells, trace, nil, VerifyOff, GridOptions{
-		Sliced: func(w int) *bus.SlicedTrace {
-			calls++
-			if w != width {
-				t.Fatalf("provider asked for width %d, want %d", w, width)
-			}
-			return pre
-		},
-	})
+	sel := []int{0, 2, 5, 6, len(cells) - 1}
+	before := EvaluatedCycles()
+	got, err := EvaluateBatch(cells, []BatchTrace{{Values: trace, Cells: sel}}, VerifySampled(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Errorf("provider called %d times, want 1 (raw and gray share the transposition)", calls)
+	if n := EvaluatedCycles() - before; n != uint64(len(sel)*len(trace)) {
+		t.Errorf("EvaluatedCycles delta %d, want %d", n, len(sel)*len(trace))
 	}
-	for i, c := range cells {
-		compareGridResult(t, c.T.Name(), want[i], got[i])
+	picked := map[int]bool{}
+	for _, i := range sel {
+		picked[i] = true
+		compareGridResult(t, cells[i].T.Name(), want[i], got[0][i])
 	}
-	got, err = EvaluateGridOpts(cells, trace, nil, VerifyOff, GridOptions{
-		Sliced: func(int) *bus.SlicedTrace { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := range cells {
+		if !picked[i] && got[0][i].Coded != nil {
+			t.Errorf("unselected cell %d was evaluated", i)
+		}
 	}
-	for i, c := range cells {
-		compareGridResult(t, "nil-provider/"+c.T.Name(), want[i], got[i])
+	if _, err := EvaluateBatch(cells, []BatchTrace{{Values: trace, Cells: []int{len(cells)}}}, VerifyOff); err == nil {
+		t.Error("out-of-range cell selection must fail")
 	}
 }
 

@@ -154,17 +154,3 @@ func (d *dvsDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *dvsDecoder) Reset() { d.prev = 0 }
-
-// dvsCodedMeter materializes the state stream (transition code + parity
-// wire) and meters it lane-parallel — the grid fast path.
-func dvsCodedMeter(t *DVSTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	var state uint64
-	var memo wordMemo
-	for i, v := range trace {
-		state ^= t.transition(&memo, v&mask)
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(t.wires+1, coded).MeterLite()
-}

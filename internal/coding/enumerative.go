@@ -25,9 +25,9 @@ import (
 // binomTab and its cumulative rows ballCum, through masked indices, so
 // the loops carry no bounds checks. Unrank walks the wire positions
 // without data-dependent branches and stops once the remaining rank is
-// 0; rank visits only the set bits. Each encoder (and each grid
-// materialize loop) also keeps a wordMemo: the streams the paper studies
-// repeat values, and a repeated value skips the unrank entirely.
+// 0; rank visits only the set bits. Each encoder also keeps a wordMemo:
+// the streams the paper studies repeat values, and a repeated value
+// skips the unrank entirely.
 
 // enumMaxWires bounds the coded bus width the enumerative coders accept.
 // Every ball size is at most 2^n, so n ≤ 62 keeps all rank arithmetic

@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -37,6 +38,37 @@ func evalPolicies() map[string]VerifyPolicy {
 		"sampled:7": VerifySampled(7),
 		"off":       VerifyOff,
 	}
+}
+
+// EvaluateBuffered is the two-pass reference implementation of Evaluate:
+// it buffers the whole coded trace, verifies the decoder on every cycle
+// regardless of ev.Verify, and meters the buffer afterwards. It is the
+// differential-testing baseline for the fused streaming path; the two
+// must produce bit-identical Results. Unlike Evaluate it allocates a
+// fresh coded meter per call, so its Results are caller-owned.
+func (ev *Evaluator) EvaluateBuffered(trace []uint64, lambda float64, raw *bus.Meter) (Result, error) {
+	if ev.t == nil {
+		return Result{}, fmt.Errorf("coding: Evaluator has no transcoder (call Use first)")
+	}
+	ev.enc.Reset()
+	ev.dec.Reset()
+	raw, err := ev.checkRaw(trace, raw)
+	if err != nil {
+		return Result{}, err
+	}
+	buf := make([]bus.Word, 0, len(trace))
+	for i, v := range trace {
+		v &= ev.mask
+		w := ev.enc.Encode(v)
+		if got := ev.dec.Decode(w); got != v {
+			return Result{}, ev.divergence(i, v, got)
+		}
+		buf = append(buf, w)
+	}
+	coded := bus.NewMeterLite(ev.enc.BusWidth())
+	coded.Record(0)
+	coded.RecordTrace(buf)
+	return ev.result(raw, coded, lambda), nil
 }
 
 // TestEvaluateMatchesBuffered is the differential test for the fused

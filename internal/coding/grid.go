@@ -2,25 +2,27 @@ package coding
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"buspower/internal/bus"
+	"buspower/internal/memo"
 )
 
-// Grid evaluation: one trace against a whole scheme/λ grid in a single
-// grouped pass. The savings stack in three layers:
+// Grid evaluation: a set of scheme/λ cells against a suite of traces in
+// grouped passes. EvaluateBatch is the one engine; EvaluateGrid (one
+// trace) and Evaluate (one cell) are spellings of it. Per trace the
+// savings stack in these layers, each an internal choice of the engine:
 //
 //   - λ fan-out: activity meters are Λ-independent (Λ enters only when a
 //     Result's Cost is read), so grid cells that share a transcoder
 //     configuration (ConfigKey) are encoded once and read at every
 //     requested Λ. Figure 15's λ0/λ1 families collapse from one encode
 //     per (assumed, actual) pair to one per assumed Λ.
+//   - window families: Window configurations that differ only in
+//     register size share one encode pass (see batch.go).
 //   - shared stride tape: every stride bank size replays one prediction
-//     tape computed in a single pass (see strideTape).
-//   - bit-sliced stateless coders: raw, Gray and spatial cells are
-//     metered lane-parallel on a transposed trace (bus.SlicedTrace) —
-//     64 cycles per machine word — instead of cycle-by-cycle.
+//     tape computed in a single pass (see strideTape), cached across
+//     calls under the trace's identity.
 //
 // Everything else runs through the scalar Evaluator, still profiting
 // from the ConfigKey dedupe. Results are bit-identical to evaluating
@@ -34,8 +36,8 @@ type GridCell struct {
 }
 
 // evaluatedCycles counts (trace cycle × grid cell) units delivered by
-// Evaluate/EvaluateGrid process-wide. Grouped passes deliver more cycles
-// than they execute — that efficiency is exactly what the bench suite's
+// the engine process-wide. Grouped passes deliver more cycles than they
+// execute — that efficiency is exactly what the bench suite's
 // throughput line measures.
 var evaluatedCycles atomic.Uint64
 
@@ -45,54 +47,71 @@ var evaluatedCycles atomic.Uint64
 // this around a suite pass to report suite-level throughput.
 func EvaluatedCycles() uint64 { return evaluatedCycles.Load() }
 
-// GridOptions customizes a grid evaluation's shared inputs.
-type GridOptions struct {
-	// Sliced, when non-nil, supplies the bit-sliced transposition of
-	// the trace at the given width — exactly what
-	// bus.NewSlicedTrace(width, trace) would build. Callers holding a
-	// transposition cache (the experiments layer's sliced-plane memo)
-	// plug it in here so repeated grids over the same named trace stop
-	// re-transposing it; a nil return falls back to building one.
-	Sliced func(width int) *bus.SlicedTrace
-}
-
-// EvaluateGrid evaluates every cell against one trace. raw, when
-// non-nil, is a pre-measured raw-bus meter (as from MeasureRawValues)
-// for cells whose data width matches; other widths are measured here
-// once each. verify applies to every cell exactly as in
-// Evaluator.Evaluate; under VerifyFull the fast paths (which cannot run
-// a live decoder over the whole stream) step aside and every unique
-// configuration runs the scalar full-verify path, still deduplicated.
-//
-// Results are cell-aligned. Cells sharing a configuration share Raw and
-// Coded meter instances; callers that mutate or Reset a meter must
-// Clone it first.
+// EvaluateGrid is EvaluateBatch over the one trace, with its optional
+// pre-measured raw meter. The trace has no identity, so nothing derived
+// from it is cached across calls.
 func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy) ([]Result, error) {
-	return EvaluateGridOpts(cells, trace, raw, verify, GridOptions{})
+	out, err := EvaluateBatch(cells, []BatchTrace{{Values: trace, Raw: raw}}, verify)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// EvaluateGridOpts is EvaluateGrid with options.
-func EvaluateGridOpts(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
-	var sc gridScratch
-	return sc.evaluate(cells, trace, raw, verify, opts)
+// tapeKey names a cached stride tape: the caller's trace identity, the
+// data width and the bank depth.
+type tapeKey struct {
+	id    any
+	width int
+	depth int
 }
 
-// evaluate is the grid engine body. sc persists Evaluator scratch and
-// window-family arenas between calls (EvaluateBatch streams a whole
-// suite through one scratch); a zero gridScratch is ready to use.
-func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
+// tapeMemo caches stride tapes across calls (one byte per cycle each),
+// so repeated stride requests on a named trace skip the prediction pass.
+var tapeMemo = memo.New[tapeKey, *strideTape](64)
+
+// ClearStrideTapeCache drops every cached stride tape.
+func ClearStrideTapeCache() { tapeMemo.Reset() }
+
+// strideTapeFor returns a stride tape for the trace, cached under its
+// identity when it has one.
+func strideTapeFor(id any, width, maxK int, trace []uint64) *strideTape {
+	if id == nil {
+		return buildStrideTape(width, maxK, trace)
+	}
+	tp, _ := tapeMemo.Do(tapeKey{id: id, width: width, depth: maxK}, func() (*strideTape, error) {
+		return buildStrideTape(width, maxK, trace), nil
+	})
+	return tp
+}
+
+// evaluate is the engine body for one trace: the cells bt selects, or
+// all of them. sc persists Evaluator scratch and window-family arenas
+// between traces; a zero gridScratch is ready to use.
+func (sc *gridScratch) evaluate(cells []GridCell, bt *BatchTrace, verify VerifyPolicy) ([]Result, error) {
 	if len(cells) == 0 {
 		return nil, nil
 	}
+	trace := bt.Values
 	results := make([]Result, len(cells))
 	type group struct {
 		key   string
 		t     Transcoder
 		cells []int
 	}
-	groups := make(map[string]*group, len(cells))
-	order := make([]*group, 0, len(cells))
-	for i := range cells {
+	selected := len(cells)
+	if bt.Cells != nil {
+		selected = len(bt.Cells)
+	}
+	groups := make(map[string]*group, selected)
+	order := make([]*group, 0, selected)
+	for j := 0; j < selected; j++ {
+		i := j
+		if bt.Cells != nil {
+			if i = bt.Cells[j]; i < 0 || i >= len(cells) {
+				return nil, fmt.Errorf("coding: batch trace selects cell %d of %d", i, len(cells))
+			}
+		}
 		t := cells[i].T
 		if t == nil {
 			return nil, fmt.Errorf("coding: grid cell %d has no transcoder", i)
@@ -108,8 +127,8 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 	}
 
 	rawMeters := make(map[int]*bus.Meter, 1)
-	if raw != nil {
-		rawMeters[raw.Width()] = raw
+	if bt.Raw != nil {
+		rawMeters[bt.Raw.Width()] = bt.Raw
 	}
 	rawFor := func(width int) *bus.Meter {
 		if m := rawMeters[width]; m != nil {
@@ -119,26 +138,6 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		rawMeters[width] = m
 		return m
 	}
-
-	var sliced map[int]*bus.SlicedTrace
-	slicedFor := func(width int) *bus.SlicedTrace {
-		if s := sliced[width]; s != nil {
-			return s
-		}
-		if sliced == nil {
-			sliced = make(map[int]*bus.SlicedTrace, 1)
-		}
-		var s *bus.SlicedTrace
-		if opts.Sliced != nil {
-			s = opts.Sliced(width)
-		}
-		if s == nil {
-			s = bus.NewSlicedTrace(width, trace)
-		}
-		sliced[width] = s
-		return s
-	}
-
 	// Window families: configurations differing only in register size
 	// share one encode pass (see batch.go). Results land keyed by the
 	// member's ConfigKey and are picked up by the per-group loop below.
@@ -205,7 +204,7 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		if maxK != nil {
 			tapes = make(map[int]*strideTape, len(maxK))
 			for w, k := range maxK {
-				tapes[w] = sharedStrideTape(w, k, trace)
+				tapes[w] = strideTapeFor(bt.ID, w, k, trace)
 			}
 		}
 	}
@@ -220,65 +219,16 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		var ops OpStats
 		var codedWidth int
 		fast := false
+		// famRes and tapes stay empty under VerifyFull.
 		if fr, ok := famRes[g.key]; ok {
 			coded, ops, codedWidth, fast = fr.coded, fr.ops, width+2, true
-		}
-		if !fast && verify.mode != verifyFull {
-			switch t := g.t.(type) {
-			case *StrideTranscoder:
-				if tp := tapes[t.width]; tp != nil && t.strides <= tp.maxK {
-					m, o, err := tp.evaluate(t, trace, verify)
-					if err != nil {
-						return nil, err
-					}
-					coded, ops, codedWidth, fast = m, o, t.width+2, true
-				}
-			case *RawTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
+		} else if t, ok := g.t.(*StrideTranscoder); ok {
+			if tp := tapes[t.width]; tp != nil && t.strides <= tp.maxK {
+				m, o, err := tp.evaluate(t, trace, verify)
+				if err != nil {
 					return nil, err
 				}
-				coded = slicedFor(width).MeterLite()
-				codedWidth, fast = width, true
-			case *GrayTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded = slicedFor(width).Gray().MeterLite()
-				codedWidth, fast = width, true
-			case *SpatialTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded = spatialCodedMeter(t, trace)
-				codedWidth, fast = 1<<uint(t.width), true
-			// The enumerative coders (optmem and the prefix-XOR transition
-			// codes) materialize their coded streams and meter lane-parallel;
-			// their op counts are formulaic (see gridOps), so the fast path
-			// reproduces the scalar encoder's stats exactly.
-			case *OptMemTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = optMemCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires, true
-			case *VCTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = vcCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires, true
-			case *LowWeightTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = lowWeightCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires, true
-			case *DVSTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = dvsCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires+1, true
+				coded, ops, codedWidth, fast = m, o, t.width+2, true
 			}
 		}
 		if !fast {
@@ -334,75 +284,6 @@ type strideTape struct {
 	recs  []uint8
 	hist  []uint64 // hist[0] = LAST hits, hist[m] = cycles with minimal stride m
 	raws  uint64   // cycles with no match at any stride ≤ maxK
-}
-
-// tapeCache memoizes stride tapes across grid evaluations: the li-suite
-// experiments replay the same handful of cached traces through many
-// grids, and each rebuild costs a full prediction pass. An entry keyed
-// on the trace's backing array is sound because the entry itself pins
-// that array — no other trace can occupy its address while the key
-// lives. A tape built deep enough serves every shallower bank (the same
-// replay contract the in-grid sharing relies on), so lookups accept any
-// entry with maxK at least the requested depth.
-type tapeCacheEntry struct {
-	width int
-	trace []uint64 // pins the backing array; its address identifies the trace
-	tape  *strideTape
-}
-
-var (
-	tapeCacheMu sync.Mutex
-	tapeCache   []tapeCacheEntry
-)
-
-// tapeCacheCap bounds the cache; on overflow the whole cache is dropped
-// (entries are cheap to rebuild, and steady state holds one entry per
-// cached trace × width).
-const tapeCacheCap = 64
-
-func sharedStrideTape(width, maxK int, trace []uint64) *strideTape {
-	if len(trace) == 0 {
-		return buildStrideTape(width, maxK, trace)
-	}
-	head := &trace[0]
-	n := len(trace)
-	tapeCacheMu.Lock()
-	for i := range tapeCache {
-		e := &tapeCache[i]
-		if e.width == width && len(e.trace) == n && &e.trace[0] == head && e.tape.maxK >= maxK {
-			tp := e.tape
-			tapeCacheMu.Unlock()
-			return tp
-		}
-	}
-	tapeCacheMu.Unlock()
-	tp := buildStrideTape(width, maxK, trace)
-	tapeCacheMu.Lock()
-	for i := range tapeCache {
-		e := &tapeCache[i]
-		if e.width == width && len(e.trace) == n && &e.trace[0] == head {
-			// A deeper tape supersedes a shallower one for the same trace.
-			if e.tape.maxK < maxK {
-				e.tape = tp
-			}
-			tapeCacheMu.Unlock()
-			return tp
-		}
-	}
-	if len(tapeCache) >= tapeCacheCap {
-		tapeCache = nil
-	}
-	tapeCache = append(tapeCache, tapeCacheEntry{width: width, trace: trace, tape: tp})
-	tapeCacheMu.Unlock()
-	return tp
-}
-
-// ClearStrideTapeCache drops every memoized stride tape (the bench
-// harness's memo-cold phases, via experiments.ClearEvalMemo).
-func ClearStrideTapeCache() {
-	tapeCacheMu.Lock()
-	tapeCache = nil
-	tapeCacheMu.Unlock()
 }
 
 func buildStrideTape(width, maxK int, trace []uint64) *strideTape {
@@ -524,43 +405,6 @@ func (tp *strideTape) evaluate(t *StrideTranscoder, trace []uint64, verify Verif
 	ops.RawSends = rawSends
 	ops.PartialMatches = probes + rawSends*uint64(t.strides)
 	return coded, ops, nil
-}
-
-// spatialCodedMeter produces the spatial coder's coded-bus meter by
-// materializing its one-toggle-per-cycle wire states (a trivial prefix
-// XOR) and metering them lane-parallel on the 2^width-wire sliced bus.
-func spatialCodedMeter(t *SpatialTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	var state uint64
-	for i, v := range trace {
-		state ^= 1 << uint(v&mask)
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(1<<uint(t.width), coded).MeterLite()
-}
-
-// verifyStatelessSampled replicates Evaluate's sampled-verification
-// ritual for the stateless fast paths: the first VerifyWindow cycles
-// round-trip through a live encoder/decoder pair (fresh from reset —
-// which for these coders sees exactly the words the evaluation
-// produces), then every every-th value plus the trailing window replays
-// through a second fresh pair.
-func verifyStatelessSampled(t Transcoder, trace []uint64, verify VerifyPolicy) error {
-	if verify.mode != verifySampled {
-		return nil
-	}
-	mask := uint64(bus.Mask(t.DataWidth()))
-	enc, dec := t.NewEncoder(), t.NewDecoder()
-	head := min(VerifyWindow, len(trace))
-	for i := 0; i < head; i++ {
-		v := trace[i] & mask
-		w := enc.Encode(v)
-		if got := dec.Decode(w); got != v {
-			return fmt.Errorf("coding: %s decoder diverged at cycle %d: sent %#x, decoded %#x", t.Name(), i, v, got)
-		}
-	}
-	return replaySampledFresh(t, trace, verify)
 }
 
 // replaySampledFresh collects the sampled-verification value set —

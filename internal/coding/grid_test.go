@@ -73,8 +73,8 @@ func gridTestCells(t *testing.T, width int) []GridCell {
 	mk(w, err, 1)
 	ctx, err := NewContext(ContextConfig{Width: width, TableSize: 16, ShiftEntries: 4, DividePeriod: 64, Lambda: 1})
 	mk(ctx, err, 1)
-	// The optimal-codebook families: materialized fast paths with
-	// formulaic ops, λ fan-out over one config for vc.
+	// The optimal-codebook families: scalar path with formulaic ops, λ
+	// fan-out over one config for vc.
 	om, err := NewOptMem(width, 2)
 	mk(om, err, 1)
 	vc, err := NewVC(width, 2)
@@ -108,31 +108,46 @@ func compareGridResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
+// gridBothWays evaluates the cells on the trace twice: as a plain grid
+// (no trace identity, nothing cached) and as a batch under id, which
+// shares the stride tape through the tape cache.
+func gridBothWays(t *testing.T, cells []GridCell, trace []uint64, id any, verify VerifyPolicy) map[string][]Result {
+	t.Helper()
+	plain, err := EvaluateGrid(cells, trace, nil, verify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := EvaluateBatch(cells, []BatchTrace{{Values: trace, ID: id}}, verify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]Result{"grid": plain, "keyed": keyed[0]}
+}
+
 // TestEvaluateGridMatchesScalar is the tentpole differential: every grid
 // cell must be bit-identical to an individual scalar Evaluate of the same
-// (transcoder, λ), under every verification policy.
+// (transcoder, λ), under every verification policy, with and without a
+// trace identity.
 func TestEvaluateGridMatchesScalar(t *testing.T) {
 	const width = 16
 	trace := gridTestTrace(width, 3000, 7)
 	cells := gridTestCells(t, width)
 	for _, verify := range []VerifyPolicy{VerifySampled(64), VerifyOff, VerifyFull} {
 		t.Run(verify.String(), func(t *testing.T) {
-			got, err := EvaluateGrid(cells, trace, nil, verify)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(cells) {
-				t.Fatalf("got %d results for %d cells", len(got), len(cells))
-			}
-			for i, c := range cells {
-				var ev Evaluator
-				ev.Verify = verify
-				ev.Use(c.T)
-				want, err := ev.Evaluate(trace, c.Lambda, nil)
-				if err != nil {
-					t.Fatal(err)
+			for path, got := range gridBothWays(t, cells, trace, "TestEvaluateGridMatchesScalar", verify) {
+				if len(got) != len(cells) {
+					t.Fatalf("%s: got %d results for %d cells", path, len(got), len(cells))
 				}
-				compareGridResult(t, c.T.Name(), want, got[i])
+				for i, c := range cells {
+					var ev Evaluator
+					ev.Verify = verify
+					ev.Use(c.T)
+					want, err := ev.Evaluate(trace, c.Lambda, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareGridResult(t, path+"/"+c.T.Name(), want, got[i])
+				}
 			}
 		})
 	}
@@ -339,19 +354,18 @@ func FuzzGridMatchesScalar(f *testing.F) {
 			t.Fatal(err)
 		}
 		cells = append(cells, GridCell{T: vc, Lambda: 1}, GridCell{T: lw, Lambda: 1})
-		got, err := EvaluateGrid(cells, trace, nil, VerifySampled(32))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range cells {
-			var ev Evaluator
-			ev.Verify = VerifySampled(32)
-			ev.Use(c.T)
-			want, err := ev.Evaluate(trace, c.Lambda, nil)
-			if err != nil {
-				t.Fatal(err)
+		// The fuzz input itself is the trace's identity.
+		for path, got := range gridBothWays(t, cells, trace, "FuzzGridMatchesScalar/"+string(data), VerifySampled(32)) {
+			for i, c := range cells {
+				var ev Evaluator
+				ev.Verify = VerifySampled(32)
+				ev.Use(c.T)
+				want, err := ev.Evaluate(trace, c.Lambda, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareGridResult(t, path+"/"+c.T.Name(), want, got[i])
 			}
-			compareGridResult(t, c.T.Name(), want, got[i])
 		}
 	})
 }

@@ -174,17 +174,3 @@ func (d *lowWeightDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *lowWeightDecoder) Reset() { d.prev = 0 }
-
-// lowWeightCodedMeter materializes the prefix-XOR state stream and meters
-// it lane-parallel — the grid fast path.
-func lowWeightCodedMeter(t *LowWeightTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	var state uint64
-	var memo wordMemo
-	for i, v := range trace {
-		state ^= t.transition(&memo, v&mask)
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
-}

@@ -81,8 +81,8 @@ func (t *OptMemTranscoder) NewDecoder() Decoder { return &optMemDecoder{t: t} }
 // gridOps returns the encoder's operation counts for a run of the given
 // length. The enumerative coders' activity is purely formulaic — the
 // adder chain switches on every cycle regardless of data (like the
-// inversion coder's majority voter) — which is what lets the grid fast
-// path reproduce the scalar encoder's counts exactly.
+// inversion coder's majority voter) — so the encoder derives them from
+// its cycle count alone.
 func (t *OptMemTranscoder) gridOps(cycles uint64) OpStats {
 	return OpStats{
 		Cycles:            cycles,
@@ -115,15 +115,3 @@ func (d *optMemDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *optMemDecoder) Reset() {}
-
-// optMemCodedMeter materializes the memoryless codeword stream and meters
-// it lane-parallel — the grid fast path.
-func optMemCodedMeter(t *OptMemTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	var memo wordMemo
-	for i, v := range trace {
-		coded[i] = memo.unrank(t.wires, v&mask)
-	}
-	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
-}

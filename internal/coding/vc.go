@@ -117,17 +117,3 @@ func (d *vcDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *vcDecoder) Reset() { d.prev = 0 }
-
-// vcCodedMeter materializes the prefix-XOR state stream and meters it
-// lane-parallel — the grid fast path.
-func vcCodedMeter(t *VCTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	var state uint64
-	var memo wordMemo
-	for i, v := range trace {
-		state ^= memo.unrank(t.wires, v&mask)
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
-}

@@ -177,8 +177,8 @@ func (r *slotRing) reserve(from uint64, cap int32) uint64 {
 // organization the paper built its bus timing generators on.
 //
 // This is the optimized implementation; ReferenceSimulator (kept in
-// ooo_reference.go) is the map-based original, and the golden differential
-// test requires both to produce byte-identical BusTraces.
+// ooo_reference_test.go) is the map-based original, and the golden
+// differential test requires both to produce byte-identical BusTraces.
 type Simulator struct {
 	cfg  Config
 	core *Core

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"buspower/internal/bus"
 	"buspower/internal/coding"
 	"buspower/internal/workload"
 )
@@ -50,24 +49,9 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 	}
 	return gatherRows(t, cfg, len(sources), func(i int, out *Table) error {
 		src := sources[i]
-		var tr []uint64
-		var raw *bus.Meter
-		var id traceID
-		var err error
-		if src == "random" {
-			tr = randomTraceFor(n)
-			raw = randomRawMeter(n)
-			id = randomTraceID(n)
-		} else {
-			tr, err = busTrace(src, busName, cfg)
-			if err != nil {
-				return err
-			}
-			raw, err = rawMeterFor(src, busName, cfg)
-			if err != nil {
-				return err
-			}
-			id = workloadTraceID(src, busName, cfg)
+		trace := randomTrace(n)
+		if src != "random" {
+			trace = workloadTrace(src, busName, cfg)
 		}
 		points := make([]gridPoint, len(params))
 		for k, p := range params {
@@ -77,12 +61,12 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 			}
 			points[k] = gridPoint{tc: tc, lambda: evalLambda}
 		}
-		results, err := evalGridPoints(points, id, tr, raw, cfg)
+		results, err := evaluate(cfg.ctx, points, []evalTrace{trace}, cfg)
 		if err != nil {
 			return err
 		}
 		for k, p := range params {
-			out.AddRow(src, p, 100*results[k].EnergyRemoved())
+			out.AddRow(src, p, 100*results[0][k].EnergyRemoved())
 		}
 		return nil
 	})
@@ -160,14 +144,6 @@ func runFig24(cfg Config) (*Table, error) {
 	}
 	err := gatherRows(t, cfg, len(fig24Benchmarks), func(i int, out *Table) error {
 		name := fig24Benchmarks[i]
-		tr, err := busTrace(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
 		var points []gridPoint
 		for _, tbl := range []int{16, 64} {
 			for _, sr := range srSizes {
@@ -181,14 +157,14 @@ func runFig24(cfg Config) (*Table, error) {
 				points = append(points, gridPoint{tc: ctx, lambda: evalLambda})
 			}
 		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), tr, raw, cfg)
+		results, err := evaluate(cfg.ctx, points, []evalTrace{workloadTrace(name, "reg", cfg)}, cfg)
 		if err != nil {
 			return err
 		}
 		k := 0
 		for _, tbl := range []int{16, 64} {
 			for _, sr := range srSizes {
-				out.AddRow(name, tbl, sr, 100*results[k].EnergyRemoved())
+				out.AddRow(name, tbl, sr, 100*results[0][k].EnergyRemoved())
 				k++
 			}
 		}
@@ -209,14 +185,6 @@ func runFig25(cfg Config) (*Table, error) {
 	}
 	err := gatherRows(t, cfg, len(fig24Benchmarks), func(i int, out *Table) error {
 		name := fig24Benchmarks[i]
-		tr, err := busTrace(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
 		var points []gridPoint
 		for _, tbl := range []int{16, 64} {
 			for _, period := range periods {
@@ -230,14 +198,14 @@ func runFig25(cfg Config) (*Table, error) {
 				points = append(points, gridPoint{tc: ctx, lambda: evalLambda})
 			}
 		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), tr, raw, cfg)
+		results, err := evaluate(cfg.ctx, points, []evalTrace{workloadTrace(name, "reg", cfg)}, cfg)
 		if err != nil {
 			return err
 		}
 		k := 0
 		for _, tbl := range []int{16, 64} {
 			for _, period := range periods {
-				out.AddRow(name, tbl, period, 100*results[k].EnergyRemoved())
+				out.AddRow(name, tbl, period, 100*results[0][k].EnergyRemoved())
 				k++
 			}
 		}
@@ -273,26 +241,11 @@ func runFig15(cfg Config) (*Table, error) {
 	}
 	err = gatherRows(t, cfg, len(sources), func(i int, out *Table) error {
 		src := sources[i]
-		var traces [][]uint64
-		var raws []*bus.Meter
-		var ids []traceID
-		if src.bus == "" {
-			traces = [][]uint64{randomTraceFor(n)}
-			raws = []*bus.Meter{randomRawMeter(n)}
-			ids = []traceID{randomTraceID(n)}
-		} else {
+		traces := []evalTrace{randomTrace(n)}
+		if src.bus != "" {
+			traces = traces[:0]
 			for _, b := range fig7Benchmarks {
-				tr, err := busTrace(b, src.bus, cfg)
-				if err != nil {
-					return err
-				}
-				raw, err := rawMeterFor(b, src.bus, cfg)
-				if err != nil {
-					return err
-				}
-				traces = append(traces, tr)
-				raws = append(raws, raw)
-				ids = append(ids, workloadTraceID(b, src.bus, cfg))
+				traces = append(traces, workloadTrace(b, src.bus, cfg))
 			}
 		}
 		variants := []struct {
@@ -318,14 +271,10 @@ func runFig15(cfg Config) (*Table, error) {
 			}
 		}
 		// The benchmark suite streams through one shared transcoder
-		// scratch (coding.EvaluateBatch): each unique inversion config
-		// still encodes every trace, but construction, meter setup and
-		// grid bookkeeping are pinned once for the suite.
-		inputs := make([]batchTraceInput, len(traces))
-		for j, tr := range traces {
-			inputs[j] = batchTraceInput{id: ids[j], tr: tr, raw: raws[j]}
-		}
-		perTrace, err := evalGridPointsMulti(points, inputs, cfg)
+		// scratch (one coding.EvaluateBatch pass): each unique inversion
+		// config still encodes every trace, but construction, meter setup
+		// and grid bookkeeping are pinned once for the suite.
+		perTrace, err := evaluate(cfg.ctx, points, traces, cfg)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"buspower/internal/bus"
 	"buspower/internal/circuit"
 	"buspower/internal/coding"
 	"buspower/internal/energy"
@@ -21,30 +20,6 @@ func init() {
 	register(Runner{ID: "fig37", Title: "Crossover trend on the register bus across technologies and sizes (Figure 37)", Run: crossoverTrend("fig37", "reg")})
 	register(Runner{ID: "fig38", Title: "Crossover trend on the memory bus across technologies and sizes (Figure 38)", Run: crossoverTrend("fig38", "mem")})
 	register(Runner{ID: "table3", Title: "Median crossover lengths for the window-based design (Table 3)", Run: runTable3})
-}
-
-// windowResultFor returns the memoized evaluation of a window transcoder
-// on one workload bus. The energy figures previously kept a private memo
-// for these; they now share the package-wide result memo with every other
-// runner, and a hit skips even the trace-cache lookup.
-func windowResultFor(name, busName string, entries int, cfg Config) (coding.Result, error) {
-	win, err := coding.NewWindow(busWidth, entries, evalLambda)
-	if err != nil {
-		return coding.Result{}, err
-	}
-	var ev coding.Evaluator
-	return evalResultKeyed(&ev, win, workloadTraceID(name, busName, cfg), evalLambda, cfg,
-		func() ([]uint64, *bus.Meter, error) {
-			tr, err := busTrace(name, busName, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			raw, err := rawMeterFor(name, busName, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return tr, raw, nil
-		})
 }
 
 func runFig26(cfg Config) (*Table, error) {
@@ -64,27 +39,19 @@ func runFig26(cfg Config) (*Table, error) {
 		windowSizes = []int{4, 16}
 		contextTables = []int{8, 24}
 	}
+	traces := suiteTraces(names, "reg", cfg)
 	avgBudget := func(build func() (coding.Transcoder, error), length float64) (float64, error) {
 		tc, err := build()
 		if err != nil {
 			return 0, err
 		}
-		var ev coding.Evaluator
+		perTrace, err := evaluate(cfg.ctx, []gridPoint{{tc: tc, lambda: evalLambda}}, traces, cfg)
+		if err != nil {
+			return 0, err
+		}
 		sum := 0.0
-		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return 0, err
-			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return 0, err
-			}
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
-			if err != nil {
-				return 0, err
-			}
-			sum += energy.Budget(wire.Tech130, res, length)
+		for _, rs := range perTrace {
+			sum += energy.Budget(wire.Tech130, rs[0], length)
 		}
 		return sum / float64(len(names)), nil
 	}
@@ -137,18 +104,22 @@ func runTable2(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		names = names[:2]
 	}
+	win8, err := coding.NewWindow(busWidth, 8, evalLambda)
+	if err != nil {
+		return nil, err
+	}
+	perTrace, err := evaluate(cfg.ctx, []gridPoint{{tc: win8, lambda: evalLambda}}, suiteTraces(names, "reg", cfg), cfg)
+	if err != nil {
+		return nil, err
+	}
 	measure := func(tech wire.Technology) (float64, error) {
 		opE, err := circuit.OpEnergiesFor(tech)
 		if err != nil {
 			return 0, err
 		}
 		sum := 0.0
-		for _, name := range names {
-			res, err := windowResultFor(name, "reg", 8, cfg)
-			if err != nil {
-				return 0, err
-			}
-			sum += opE.EncoderEnergyPJ(res.Ops) / float64(res.Ops.Cycles)
+		for _, rs := range perTrace {
+			sum += opE.EncoderEnergyPJ(rs[0].Ops) / float64(rs[0].Ops.Cycles)
 		}
 		return sum / float64(len(names)), nil
 	}
@@ -171,27 +142,35 @@ func runTable2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// analysisFor builds the energy analysis for one (workload, bus, entries,
-// tech), applying the duty-cycle correction on the memory bus: its
-// transcoder clocks every machine cycle but sees a beat only on misses and
-// stores (§5.4.3).
-func analysisFor(tech wire.Technology, name, bus string, entries int, cfg Config) (energy.Analysis, error) {
-	res, err := windowResultFor(name, bus, entries, cfg)
+// windowAnalyses builds the energy analysis of the entries-entry window
+// design at tech for one bus of every named workload, applying the
+// duty-cycle correction on the memory bus: its transcoder clocks every
+// machine cycle but sees a beat only on misses and stores (§5.4.3).
+func windowAnalyses(tech wire.Technology, names []string, bus string, entries int, cfg Config) ([]energy.Analysis, error) {
+	win, err := coding.NewWindow(busWidth, entries, evalLambda)
 	if err != nil {
-		return energy.Analysis{}, err
+		return nil, err
 	}
-	a, err := energy.NewAnalysis(tech, res, circuit.WindowDesign, entries)
+	perTrace, err := evaluate(cfg.ctx, []gridPoint{{tc: win, lambda: evalLambda}}, suiteTraces(names, bus, cfg), cfg)
 	if err != nil {
-		return energy.Analysis{}, err
+		return nil, err
 	}
-	if bus == "mem" {
-		ts, err := workload.Traces(name, cfg.Run)
+	out := make([]energy.Analysis, len(names))
+	for i, rs := range perTrace {
+		a, err := energy.NewAnalysis(tech, rs[0], circuit.WindowDesign, entries)
 		if err != nil {
-			return energy.Analysis{}, err
+			return nil, err
 		}
-		a = a.WithDutyCycle(uint64(len(ts.Mem)), ts.Summary.Cycles)
+		if bus == "mem" {
+			ts, err := workload.Traces(names[i], cfg.Run)
+			if err != nil {
+				return nil, err
+			}
+			a = a.WithDutyCycle(uint64(len(ts.Mem)), ts.Summary.Cycles)
+		}
+		out[i] = a
 	}
-	return a, nil
+	return out, nil
 }
 
 func totalEnergySweep(id, bus string) func(Config) (*Table, error) {
@@ -211,12 +190,12 @@ func totalEnergySweep(id, bus string) func(Config) (*Table, error) {
 		}
 		err := gatherRows(t, cfg, len(names), func(i int, out *Table) error {
 			name := names[i]
-			a, err := analysisFor(wire.Tech130, name, bus, 8, cfg)
+			as, err := windowAnalyses(wire.Tech130, []string{name}, bus, 8, cfg)
 			if err != nil {
 				return err
 			}
 			for l := 1.0; l <= 30+1e-9; l += step {
-				out.AddRow(name, l, a.NormalizedTotal(l))
+				out.AddRow(name, l, as[0].NormalizedTotal(l))
 			}
 			return nil
 		})
@@ -262,13 +241,9 @@ func crossoverTrend(id, bus string) func(Config) (*Table, error) {
 			if cfg.Quick {
 				names = names[:2]
 			}
-			var analyses []energy.Analysis
-			for _, name := range names {
-				a, err := analysisFor(u.tech, name, bus, u.entries, cfg)
-				if err != nil {
-					return err
-				}
-				analyses = append(analyses, a)
+			analyses, err := windowAnalyses(u.tech, names, bus, u.entries, cfg)
+			if err != nil {
+				return err
 			}
 			for l := 1.0; l <= 30+1e-9; l += step {
 				vals := make([]float64, len(analyses))
@@ -317,13 +292,13 @@ func runTable3(cfg Config) (*Table, error) {
 		if cfg.Quick {
 			names = names[:2]
 		}
-		var xs []float64
-		for _, name := range names {
-			a, err := analysisFor(u.tech, name, "reg", u.entries, cfg)
-			if err != nil {
-				return err
-			}
-			xs = append(xs, a.CrossoverMM())
+		analyses, err := windowAnalyses(u.tech, names, "reg", u.entries, cfg)
+		if err != nil {
+			return err
+		}
+		xs := make([]float64, len(analyses))
+		for i, a := range analyses {
+			xs[i] = a.CrossoverMM()
 		}
 		med := stats.Median(xs)
 		cell := fmt.Sprintf("%.1f", med)

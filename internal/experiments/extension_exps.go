@@ -94,24 +94,15 @@ func runExtCtx(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		var ev coding.Evaluator
+		// The same (transcoder, trace, Λ) evaluation repeats across the
+		// technology axis; the memo collapses those to one computation.
+		perTrace, err := evaluate(cfg.ctx, []gridPoint{{tc: tc, lambda: evalLambda}}, suiteTraces(names, "reg", cfg), cfg)
+		if err != nil {
+			return err
+		}
 		var savings, xovers []float64
-		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			// The same (transcoder, trace, Λ) evaluation repeats across the
-			// technology axis; the memo collapses those to one computation.
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
-			if err != nil {
-				return err
-			}
-			a, err := energy.NewAnalysis(tech, res, d.kind, d.entries)
+		for _, rs := range perTrace {
+			a, err := energy.NewAnalysis(tech, rs[0], d.kind, d.entries)
 			if err != nil {
 				return err
 			}
@@ -149,17 +140,13 @@ func runExtScale(cfg Config) (*Table, error) {
 			return err
 		}
 		for _, entries := range []int{8, 16} {
-			var xs []float64
-			for _, name := range names {
-				res, err := windowResultFor(name, "reg", entries, cfg)
-				if err != nil {
-					return err
-				}
-				a, err := energy.NewAnalysis(tech, res, circuit.WindowDesign, entries)
-				if err != nil {
-					return err
-				}
-				xs = append(xs, a.CrossoverMM())
+			analyses, err := windowAnalyses(tech, names, "reg", entries, cfg)
+			if err != nil {
+				return err
+			}
+			xs := make([]float64, len(analyses))
+			for i, a := range analyses {
+				xs[i] = a.CrossoverMM()
 			}
 			out.AddRow(nm, entries, stats.Median(xs))
 		}
@@ -207,11 +194,15 @@ func runExtVLC(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		fixed, err := windowResultFor(name, "reg", 14, cfg)
+		win, err := coding.NewWindow(busWidth, 14, evalLambda)
 		if err != nil {
 			return err
 		}
-		out.AddRow(name, 100*vlc.EnergyRemoved(), vlc.BeatRatio(), 100*fixed.EnergyRemoved())
+		fixed, err := evaluate(cfg.ctx, []gridPoint{{tc: win, lambda: evalLambda}}, []evalTrace{workloadTrace(name, "reg", cfg)}, cfg)
+		if err != nil {
+			return err
+		}
+		out.AddRow(name, 100*vlc.EnergyRemoved(), vlc.BeatRatio(), 100*fixed[0][0].EnergyRemoved())
 		return nil
 	})
 	return t, err
@@ -246,10 +237,6 @@ func runExtAddr(cfg Config) (*Table, error) {
 		if len(tr) < 100 {
 			return nil
 		}
-		raw, err := rawMeterFor(name, "addr", cfg)
-		if err != nil {
-			return err
-		}
 		points := make([]gridPoint, len(builders))
 		for k, build := range builders {
 			tc, err := build()
@@ -258,11 +245,11 @@ func runExtAddr(cfg Config) (*Table, error) {
 			}
 			points[k] = gridPoint{tc: tc, lambda: evalLambda}
 		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "addr", cfg), tr, raw, cfg)
+		results, err := evaluate(cfg.ctx, points, []evalTrace{workloadTrace(name, "addr", cfg)}, cfg)
 		if err != nil {
 			return err
 		}
-		for k, res := range results {
+		for k, res := range results[0] {
 			out.AddRow(name, points[k].tc.Name(), 100*res.EnergyRemoved())
 		}
 		return nil

@@ -95,14 +95,6 @@ func runExtOpt(cfg Config) (*Table, error) {
 	}
 	err := gatherRows(t, cfg, len(names), func(i int, out *Table) error {
 		name := names[i]
-		tr, err := busTrace(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
 		points := make([]gridPoint, len(specs))
 		widths := make([]int, len(specs))
 		for k, spec := range specs {
@@ -113,11 +105,11 @@ func runExtOpt(cfg Config) (*Table, error) {
 			points[k] = gridPoint{tc: tc, lambda: evalLambda}
 			widths[k] = tc.NewEncoder().BusWidth()
 		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), tr, raw, cfg)
+		results, err := evaluate(cfg.ctx, points, []evalTrace{workloadTrace(name, "reg", cfg)}, cfg)
 		if err != nil {
 			return err
 		}
-		for k, res := range results {
+		for k, res := range results[0] {
 			out.AddRow(name, points[k].tc.Name(), widths[k], 100*res.EnergyRemoved())
 		}
 		return nil
@@ -164,24 +156,15 @@ func runExtXover(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		var ev coding.Evaluator
+		// The evaluation memo collapses the technology axis: the same
+		// (transcoder, trace, Λ) measurement serves all three nodes.
+		perTrace, err := evaluate(cfg.ctx, []gridPoint{{tc: tc, lambda: evalLambda}}, suiteTraces(names, "reg", cfg), cfg)
+		if err != nil {
+			return err
+		}
 		var savings, ratios, xovers []float64
-		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			// The evaluation memo collapses the technology axis: the same
-			// (transcoder, trace, Λ) measurement serves all three nodes.
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
-			if err != nil {
-				return err
-			}
-			a, err := optAnalysis(tech, res, tc)
+		for _, rs := range perTrace {
+			a, err := optAnalysis(tech, rs[0], tc)
 			if err != nil {
 				return err
 			}
@@ -229,22 +212,13 @@ func runExtDvs(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		var ev coding.Evaluator
+		perTrace, err := evaluate(cfg.ctx, []gridPoint{{tc: tc, lambda: evalLambda}}, suiteTraces(names, "reg", cfg), cfg)
+		if err != nil {
+			return err
+		}
 		var savings, ratios, xovers []float64
-		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
-			if err != nil {
-				return err
-			}
-			a, err := optAnalysis(tech, res, tc)
+		for _, rs := range perTrace {
+			a, err := optAnalysis(tech, rs[0], tc)
 			if err != nil {
 				return err
 			}

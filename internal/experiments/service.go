@@ -322,22 +322,20 @@ func RequestKey(req EvalRequest) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// EvaluateRequest answers one evaluation request through the shared
-// memos: the trace comes from the two-layer trace cache (workload
-// sources) or the random/inline fast paths, the raw-bus meter and the
-// whole evaluation Result are memoized single-flight, and concurrent
-// identical requests coalesce into one computation. ctx is checked
-// between the trace-fetch and evaluation stages; requests already
-// answerable from the memo never fetch a trace at all.
+// EvaluateRequest answers one evaluation request as a one-point,
+// one-trace evaluation plan: the trace comes from the two-layer trace
+// cache (workload sources), the random-trace memo or the request itself,
+// the raw-bus meter and the whole evaluation Result are memoized
+// single-flight, and concurrent identical requests coalesce into one
+// computation. ctx is checked up front and again before the trace is
+// resolved; requests already answerable from the memo never fetch a
+// trace at all.
 //
 // The request must be in canonical form (as ParseEvalRequest returns);
 // EvaluateRequest normalizes defensively and rejects invalid requests.
 func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error) {
 	if err := req.normalize(); err != nil {
 		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	spec, err := coding.ParseSchemeSpec(req.Scheme)
 	if err != nil {
@@ -351,21 +349,23 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 	if err != nil {
 		return nil, err
 	}
-	id, sourceName := req.sourceID(tc.DataWidth())
-	cfg := Config{Verify: policy}
-	if req.Workload != "" {
-		cfg.Run = req.runConfig()
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var ev coding.Evaluator
-	res, err := evalResultKeyed(&ev, tc, id, req.Lambda, cfg, func() ([]uint64, *bus.Meter, error) {
-		return fetchRequestTrace(ctx, req, tc.DataWidth(), id, cfg)
-	})
+	id, sourceName := req.sourceID(tc.DataWidth())
+	cfg := Config{Verify: policy}
+	trace := evalTrace{id: id}
+	if req.Workload == "" && req.Random == 0 {
+		trace.values = req.Values
+	}
+	results, err := evaluate(ctx, []gridPoint{{tc: tc, lambda: req.Lambda}}, []evalTrace{trace}, cfg)
 	if err != nil {
 		return nil, err
 	}
+	res := results[0][0]
 	return &EvalResponse{
 		Scheme:             res.Scheme,
 		ConfigKey:          coding.ConfigKey(tc),
@@ -378,38 +378,4 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 		EnergyRemainingPct: 100 * res.EnergyRemaining(),
 		Ops:                res.Ops,
 	}, nil
-}
-
-// fetchRequestTrace resolves the request's trace and (when available at
-// the scheme's width) its shared raw-bus meter. It runs only on an
-// eval-memo miss.
-func fetchRequestTrace(ctx context.Context, req EvalRequest, width int, id traceID, cfg Config) ([]uint64, *bus.Meter, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case req.Workload != "":
-		tr, err := busTrace(req.Workload, req.Bus, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if width != busWidth {
-			// The shared raw-meter memo is keyed for the experiments'
-			// 32-bit buses; other widths measure inline.
-			return tr, nil, nil
-		}
-		raw, err := rawMeterFor(req.Workload, req.Bus, cfg)
-		return tr, raw, err
-	case req.Random != 0:
-		b := randomBundleFor(req.Random)
-		if width != busWidth {
-			return b.trace, nil, nil
-		}
-		return b.trace, b.meter, nil
-	default:
-		raw, err := rawMeterMemo.Do(id, func() (*bus.Meter, error) {
-			return coding.MeasureRawValues(width, req.Values), nil
-		})
-		return req.Values, raw, err
-	}
 }

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"context"
 
 	"buspower/internal/bus"
 	"buspower/internal/coding"
+	"buspower/internal/memo"
 	"buspower/internal/workload"
 )
 
@@ -31,7 +32,7 @@ func randomTraceID(n int) traceID {
 // a sweep evaluates on it (Λ enters only when the meter is read), so the
 // runners share one Σ-only meter per trace through this single-flight
 // memo instead of re-metering the trace once per scheme.
-var rawMeterMemo = newSFMemo[traceID, *bus.Meter](128)
+var rawMeterMemo = memo.New[traceID, *bus.Meter](128)
 
 // rawMeterFor returns the shared raw-bus meter of one workload bus at the
 // experiments' data width.
@@ -52,7 +53,7 @@ type randomBundle struct {
 	meter *bus.Meter
 }
 
-var randomMemo = newSFMemo[int, randomBundle](8)
+var randomMemo = memo.New[int, randomBundle](8)
 
 func randomBundleFor(n int) randomBundle {
 	b, _ := randomMemo.Do(n, func() (randomBundle, error) {
@@ -61,12 +62,6 @@ func randomBundleFor(n int) randomBundle {
 	})
 	return b
 }
-
-// randomTraceFor returns the shared n-value random comparison trace.
-func randomTraceFor(n int) []uint64 { return randomBundleFor(n).trace }
-
-// randomRawMeter returns the shared raw-bus meter of that trace.
-func randomRawMeter(n int) *bus.Meter { return randomBundleFor(n).meter }
 
 // resultKey identifies one transcoder evaluation: what was encoded
 // (trace), with which exact codec configuration (the canonical
@@ -98,41 +93,15 @@ type resultKey struct {
 // themselves. The full -exp all sweep computes ~1.6k distinct entries;
 // 2048 holds them all without mid-run eviction (a Result is one cloned
 // meter plus counters, well under 1 KiB).
-var resultMemo = newSFMemo[resultKey, coding.Result](2048)
+var resultMemo = memo.New[resultKey, coding.Result](2048)
 
 // vlcMemo is the variable-length-coding counterpart: VLC evaluations
 // return their own result type (beat-accurate), so they get a small memo
 // of their own on the same machinery.
-var vlcMemo = newSFMemo[resultKey, coding.VLCResult](64)
+var vlcMemo = memo.New[resultKey, coding.VLCResult](64)
 
-// The stateless grid cells (raw, Gray, spatial) meter on a bit-sliced
-// transposition of the trace. The transposition depends only on
-// (trace identity, width) — content-addressed exactly like the trace
-// cache — so grid calls, serve requests and jobs share one build per
-// named trace instead of re-transposing it every EvaluateGrid call.
-// An entry is ~n/8 bytes per wire (≈0.5 MB for a 120k-cycle 32-wire
-// trace); 32 entries bound the cache well under the trace cache's own
-// footprint.
-type slicedKey struct {
-	trace traceID
-	width int
-}
-
-var slicedMemo = newSFMemo[slicedKey, *bus.SlicedTrace](32)
-
-// slicedProviderFor adapts the sliced-plane cache to
-// coding.GridOptions.Sliced for one trace.
-func slicedProviderFor(id traceID, tr []uint64) func(int) *bus.SlicedTrace {
-	return func(width int) *bus.SlicedTrace {
-		s, err := slicedMemo.Do(slicedKey{trace: id, width: width}, func() (*bus.SlicedTrace, error) {
-			return bus.NewSlicedTrace(width, tr), nil
-		})
-		if err != nil {
-			return nil
-		}
-		return s
-	}
-}
+// MemoStats is a point-in-time snapshot of one memo's counters.
+type MemoStats = memo.Stats
 
 // EvalMemoStats reports the evaluation-result memo's counters.
 func EvalMemoStats() MemoStats { return resultMemo.Stats() }
@@ -140,207 +109,181 @@ func EvalMemoStats() MemoStats { return resultMemo.Stats() }
 // RawMeterMemoStats reports the shared raw-bus meter memo's counters.
 func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
 
-// SlicedCacheStats reports the sliced-plane cache's counters.
-func SlicedCacheStats() MemoStats { return slicedMemo.Stats() }
+// SlicedCacheStats reports the counters of a cache of bit-sliced trace
+// transpositions. The engine no longer keeps one (transposing a trace
+// for a single raw or Gray evaluation costs more than the scalar path,
+// and a memoized Result leaves nothing to reuse it for), so it always
+// reports zeros; it stays for the benchmark program, which reads it.
+func SlicedCacheStats() MemoStats { return MemoStats{} }
 
 // ClearEvalMemo returns the evaluation-result memos (fixed-length and
-// VLC) and the sliced-plane cache to their cold state (the bench
-// harness's memo-cold phase; raw-meter and trace caches are governed
-// separately).
+// VLC) and the engine's stride-tape cache to their cold state (the
+// bench harness's memo-cold phase; raw-meter and trace caches are
+// governed separately).
 func ClearEvalMemo() {
 	resultMemo.Reset()
 	vlcMemo.Reset()
-	slicedMemo.Reset()
 	coding.ClearStrideTapeCache()
 }
 
-// evalResultKeyed memoizes one transcoder evaluation. fetch returns the
-// trace and its shared raw meter (nil to measure inline) and runs only on
-// a miss, so hits skip even the trace-cache lookup. On a miss the
-// evaluation runs through ev — reusing the caller's sweep-local scratch —
-// under cfg.Verify, and the Result's coded meter is detached (Clone) from
-// the evaluator before it is retained.
-func evalResultKeyed(ev *coding.Evaluator, tc coding.Transcoder, id traceID, lambda float64, cfg Config,
-	fetch func() ([]uint64, *bus.Meter, error)) (coding.Result, error) {
-	key := resultKey{config: coding.ConfigKey(tc), trace: id, verify: cfg.Verify.String()}
-	res, err := resultMemo.Do(key, func() (coding.Result, error) {
-		tr, raw, err := fetch()
-		if err != nil {
-			return coding.Result{}, err
-		}
-		ev.Use(tc)
-		ev.Verify = cfg.Verify
-		res, err := ev.Evaluate(tr, lambda, raw)
-		if err != nil {
-			return coding.Result{}, err
-		}
-		res.Coded = res.Coded.Clone()
-		return res, nil
-	})
-	res.Lambda = lambda
-	// Evaluation errors are deterministic in the key and stay cached;
-	// cancellations and per-request timeouts (the serving path) are not a
-	// property of the key, and the memo itself un-caches them on
-	// completion — later identical requests recompute, and concurrently
-	// coalesced waiters re-run instead of inheriting the leader's death.
-	return res, err
+// evalTrace is one input trace of an evaluation plan: its identity and,
+// for an inline trace, its values. Workload and random traces are
+// resolved from their identity, and only when one of their keys misses.
+type evalTrace struct {
+	id     traceID
+	values []uint64
 }
 
-// gridPoint is one (transcoder, Λ) cell of a sweep family evaluated on a
-// single trace.
+func workloadTrace(name, busName string, cfg Config) evalTrace {
+	return evalTrace{id: workloadTraceID(name, busName, cfg)}
+}
+
+func randomTrace(n int) evalTrace { return evalTrace{id: randomTraceID(n)} }
+
+// suiteTraces names one bus of every listed workload.
+func suiteTraces(names []string, busName string, cfg Config) []evalTrace {
+	out := make([]evalTrace, len(names))
+	for i, name := range names {
+		out[i] = workloadTrace(name, busName, cfg)
+	}
+	return out
+}
+
+// resolve returns the trace's values, its shared raw-bus meter at the
+// experiments' data width (the engine measures any other width itself),
+// and the identity the engine caches stride tapes under. Inline traces
+// carry neither a shared meter nor an engine identity: they are rarely
+// evaluated twice, and caching them would only evict the named traces'
+// entries.
+func (t evalTrace) resolve() (coding.BatchTrace, error) {
+	switch {
+	case t.values != nil:
+		return coding.BatchTrace{Values: t.values}, nil
+	case t.id.n > 0: // only random traces have a length in their identity
+		b := randomBundleFor(t.id.n)
+		return coding.BatchTrace{Values: b.trace, Raw: b.meter, ID: t.id}, nil
+	default:
+		cfg := Config{Run: t.id.run}
+		tr, err := busTrace(t.id.source, t.id.bus, cfg)
+		if err != nil {
+			return coding.BatchTrace{}, err
+		}
+		raw, err := rawMeterFor(t.id.source, t.id.bus, cfg)
+		if err != nil {
+			return coding.BatchTrace{}, err
+		}
+		return coding.BatchTrace{Values: tr, Raw: raw, ID: t.id}, nil
+	}
+}
+
+// gridPoint is one (transcoder, Λ) cell of an evaluation plan.
 type gridPoint struct {
 	tc     coding.Transcoder
 	lambda float64
 }
 
-// evalGridPoints evaluates a whole family of sweep points on one trace,
-// preserving the per-point result-memo contract of evalResult: memoized
-// points are served from the cache (Peek — a hit), and every miss is
-// batched into a single coding.EvaluateGrid pass over the trace, which
-// fans equal-config points out from one encode and bit-slices the
-// stateless coders. Each grid result is then published through the memo
-// under its own key (recording the miss), so scalar and grid callers
-// share one cache and identical hit/miss accounting. Results are
-// bit-identical to per-point evalResult calls — the grid engine is
-// differentially tested against the scalar evaluator cell by cell.
-func evalGridPoints(points []gridPoint, id traceID, tr []uint64, raw *bus.Meter, cfg Config) ([]coding.Result, error) {
-	out := make([]coding.Result, len(points))
-	keys := make([]resultKey, len(points))
-	var missIdx []int
-	var cells []coding.GridCell
+// evaluate is the package's one transcoder-evaluation entry point: every
+// runner and EvaluateRequest hand it a plan of points × traces, and it
+// returns the results trace-major (out[t][p]). Each (point, trace) pair
+// is one resultKey; the plan runs in five steps:
+//
+//  1. Claim: every key goes to the result memo in one batch claim, which
+//     drops duplicate keys and claims, single-flight, every key no other
+//     caller holds. Hits skip everything below, even the trace lookup.
+//  2. Resolve: only the traces with a claimed key are fetched (ctx is
+//     checked first, so a cancelled request stops here).
+//  3. Evaluate: all claimed cells — every point of a claimed key, so a
+//     config read at several Λ still fans out from one encode — run in
+//     one coding.EvaluateBatch pass.
+//  4. Publish: each key's Result, its coded meter detached, is stored
+//     under its own key. Only then does the call wait on the keys other
+//     callers are computing, so it never waits on its own claims.
+//  5. Retry: a failure that does not belong to one key (a cancelled
+//     leader, or any error of a multi-key claim) un-caches every key the
+//     leader claimed, and its waiters claim them again under their own
+//     contexts.
+//
+// The metered Λ is stamped on each retrieved Result (see resultKey).
+func evaluate(ctx context.Context, points []gridPoint, traces []evalTrace, cfg Config) ([][]coding.Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	np := len(points)
+	verify := cfg.Verify.String()
+	cells := make([]coding.GridCell, np)
+	configs := make([]string, np)
 	for i, p := range points {
-		keys[i] = resultKey{config: coding.ConfigKey(p.tc), trace: id, verify: cfg.Verify.String()}
-		if res, err, ok := resultMemo.Peek(keys[i]); ok {
+		cells[i] = coding.GridCell{T: p.tc, Lambda: p.lambda}
+		configs[i] = coding.ConfigKey(p.tc)
+	}
+	// keys is the plan flattened trace-major; first maps each position to
+	// the first position with the same key, the one a claim names.
+	keys := make([]resultKey, 0, np*len(traces))
+	for _, t := range traces {
+		for _, config := range configs {
+			keys = append(keys, resultKey{config: config, trace: t.id, verify: verify})
+		}
+	}
+	first := make([]int, len(keys))
+	seen := make(map[resultKey]int, len(keys))
+	for f, k := range keys {
+		if j, ok := seen[k]; ok {
+			first[f] = j
+		} else {
+			seen[k], first[f] = f, f
+		}
+	}
+	vals, err := resultMemo.DoAll(keys, func(claimed []int) ([]coding.Result, error) {
+		mine := make([]bool, len(keys))
+		for _, f := range claimed {
+			mine[f] = true
+		}
+		var batch []coding.BatchTrace
+		at := make([]int, len(traces)) // trace → its index in batch
+		for ti, t := range traces {
+			var sel []int
+			for pi := 0; pi < np; pi++ {
+				if mine[first[ti*np+pi]] {
+					sel = append(sel, pi)
+				}
+			}
+			if sel == nil {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			bt, err := t.resolve()
 			if err != nil {
 				return nil, err
 			}
-			res.Lambda = p.lambda
-			out[i] = res
-			continue
+			bt.Cells = sel
+			at[ti] = len(batch)
+			batch = append(batch, bt)
 		}
-		missIdx = append(missIdx, i)
-		cells = append(cells, coding.GridCell{T: p.tc, Lambda: p.lambda})
-	}
-	if len(missIdx) == 0 {
+		results, err := coding.EvaluateBatch(cells, batch, cfg.Verify)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]coding.Result, len(claimed))
+		for j, f := range claimed {
+			res := results[at[f/np]][f%np]
+			// Cells of one config group share a coded meter; detach the
+			// retained copy.
+			res.Coded = res.Coded.Clone()
+			out[j] = res
+		}
 		return out, nil
-	}
-	results, err := coding.EvaluateGridOpts(cells, tr, raw, cfg.Verify,
-		coding.GridOptions{Sliced: slicedProviderFor(id, tr)})
+	})
 	if err != nil {
 		return nil, err
 	}
-	for j, i := range missIdx {
-		res := results[j]
-		// Cells of one config group share a coded meter; detach each
-		// retained copy, exactly as evalResultKeyed does on a miss.
-		res.Coded = res.Coded.Clone()
-		// Duplicate keys inside one family (e.g. Figure 15's λN=1 point
-		// coinciding with the λ1 family) collapse here: the first Do
-		// stores, the second hits the fresh entry.
-		stored, err := resultMemo.Do(keys[i], func() (coding.Result, error) { return res, nil })
-		if err != nil {
-			return nil, err
-		}
-		stored.Lambda = points[i].lambda
-		out[i] = stored
-	}
-	return out, nil
-}
-
-// batchTraceInput is one trace of a multi-trace sweep: identity (for
-// memo keys), values, and the shared raw meter (nil to measure inline).
-type batchTraceInput struct {
-	id  traceID
-	tr  []uint64
-	raw *bus.Meter
-}
-
-// evalGridPointsMulti is evalGridPoints fanned out over a whole trace
-// suite through coding.EvaluateBatch, which pins one set of transcoder
-// scratch (encoder dictionaries, window-family arenas) across the
-// traces. The per-point memo contract is identical: per-trace Peek for
-// hits, traces with the same miss set batch together (one scratch
-// warm-up for the whole suite — the common cold case), odd miss sets
-// batch among themselves, and every computed cell publishes under its
-// own key. Results are trace-major, aligned with traces × points.
-func evalGridPointsMulti(points []gridPoint, traces []batchTraceInput, cfg Config) ([][]coding.Result, error) {
-	configs := make([]string, len(points))
-	for i, p := range points {
-		configs[i] = coding.ConfigKey(p.tc)
-	}
-	verify := cfg.Verify.String()
 	out := make([][]coding.Result, len(traces))
-	keys := make([][]resultKey, len(traces))
-	missIdx := make([][]int, len(traces))
-	groups := make(map[string][]int, 1) // miss-set signature → trace indices
-	var order []string
-	for ti := range traces {
-		bt := &traces[ti]
-		out[ti] = make([]coding.Result, len(points))
-		keys[ti] = make([]resultKey, len(points))
-		var miss []int
-		for i, p := range points {
-			k := resultKey{config: configs[i], trace: bt.id, verify: verify}
-			keys[ti][i] = k
-			if res, err, ok := resultMemo.Peek(k); ok {
-				if err != nil {
-					return nil, err
-				}
-				res.Lambda = p.lambda
-				out[ti][i] = res
-				continue
-			}
-			miss = append(miss, i)
-		}
-		if len(miss) == 0 {
-			continue
-		}
-		missIdx[ti] = miss
-		sig := fmt.Sprint(miss)
-		if _, ok := groups[sig]; !ok {
-			order = append(order, sig)
-		}
-		groups[sig] = append(groups[sig], ti)
-	}
-	for _, sig := range order {
-		tis := groups[sig]
-		miss := missIdx[tis[0]]
-		cells := make([]coding.GridCell, len(miss))
-		for j, i := range miss {
-			cells[j] = coding.GridCell{T: points[i].tc, Lambda: points[i].lambda}
-		}
-		bts := make([]coding.BatchTrace, len(tis))
-		for j, ti := range tis {
-			bts[j] = coding.BatchTrace{
-				Values: traces[ti].tr,
-				Raw:    traces[ti].raw,
-				Sliced: slicedProviderFor(traces[ti].id, traces[ti].tr),
-			}
-		}
-		results, err := coding.EvaluateBatch(cells, bts, cfg.Verify)
-		if err != nil {
-			return nil, err
-		}
-		for j, ti := range tis {
-			for jj, i := range miss {
-				res := results[j][jj]
-				res.Coded = res.Coded.Clone()
-				stored, err := resultMemo.Do(keys[ti][i], func() (coding.Result, error) { return res, nil })
-				if err != nil {
-					return nil, err
-				}
-				stored.Lambda = points[i].lambda
-				out[ti][i] = stored
-			}
+	for ti := range out {
+		out[ti] = vals[ti*np : (ti+1)*np : (ti+1)*np]
+		for pi := range out[ti] {
+			out[ti][pi].Lambda = points[pi].lambda
 		}
 	}
 	return out, nil
-}
-
-// evalResult is evalResultKeyed for callers that already hold the trace
-// and its raw meter.
-func evalResult(ev *coding.Evaluator, tc coding.Transcoder, id traceID, tr []uint64, lambda float64, raw *bus.Meter, cfg Config) (coding.Result, error) {
-	return evalResultKeyed(ev, tc, id, lambda, cfg, func() ([]uint64, *bus.Meter, error) {
-		return tr, raw, nil
-	})
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"buspower/internal/bus"
 	"buspower/internal/coding"
+	"buspower/internal/memo"
 )
 
 func testMeter(v uint64) func() (*bus.Meter, error) {
@@ -17,32 +19,37 @@ func testMeter(v uint64) func() (*bus.Meter, error) {
 
 func memoKey(i int) traceID { return traceID{source: "k", n: i} }
 
+// cached reports whether m holds a completed entry for key. A probe of
+// an absent key inserts it, so callers probe the keys they expect present
+// before the ones they expect gone.
+func cached[K comparable, V any](m *memo.Memo[K, V], key K) bool {
+	hit := true
+	m.Do(key, func() (V, error) {
+		hit = false
+		var zero V
+		return zero, nil
+	})
+	return hit
+}
+
 // The memo must stay bounded, evicting least-recently-used entries one at
 // a time instead of flushing wholesale.
 func TestMemoEvictsLRU(t *testing.T) {
-	memo := newSFMemo[traceID, *bus.Meter](4)
+	m := memo.New[traceID, *bus.Meter](4)
 	for i := 0; i < 10; i++ {
-		if _, err := memo.Do(memoKey(i+1), testMeter(uint64(i))); err != nil {
+		if _, err := m.Do(memoKey(i+1), testMeter(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	memo.mu.Lock()
-	size := len(memo.entries)
-	_, oldest := memo.entries[memoKey(1)]
-	_, newest := memo.entries[memoKey(10)]
-	memo.mu.Unlock()
-	if size > 4 {
-		t.Fatalf("memo grew to %d entries, limit 4", size)
-	}
-	if oldest {
-		t.Error("least-recently-used entry survived eviction")
-	}
-	if !newest {
-		t.Error("most-recent entry was evicted")
-	}
-	st := memo.Stats()
+	st := m.Stats()
 	if st.Misses != 10 || st.Hits != 0 || st.Evictions != 6 || st.Size != 4 || st.InFlight != 0 {
 		t.Fatalf("stats %+v, want 10 misses / 0 hits / 6 evictions / size 4 / 0 in flight", st)
+	}
+	if !cached(m, memoKey(10)) {
+		t.Error("most-recent entry was evicted")
+	}
+	if cached(m, memoKey(1)) {
+		t.Error("least-recently-used entry survived eviction")
 	}
 }
 
@@ -51,7 +58,7 @@ func TestMemoEvictsLRU(t *testing.T) {
 // caller for the in-flight key must still coalesce onto the first
 // computation rather than start its own.
 func TestMemoKeepsInFlightEntries(t *testing.T) {
-	memo := newSFMemo[traceID, *bus.Meter](2)
+	m := memo.New[traceID, *bus.Meter](2)
 	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -61,7 +68,7 @@ func TestMemoKeepsInFlightEntries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		memo.Do(slowKey, func() (*bus.Meter, error) {
+		m.Do(slowKey, func() (*bus.Meter, error) {
 			calls.Add(1)
 			close(started)
 			<-release
@@ -70,21 +77,18 @@ func TestMemoKeepsInFlightEntries(t *testing.T) {
 	}()
 	<-started
 
-	if st := memo.Stats(); st.InFlight != 1 {
+	if st := m.Stats(); st.InFlight != 1 {
 		t.Fatalf("InFlight = %d during computation, want 1", st.InFlight)
 	}
 
 	// Overflow the memo while slowKey is still computing.
 	for i := 0; i < 8; i++ {
-		if _, err := memo.Do(memoKey(i+1), testMeter(uint64(i))); err != nil {
+		if _, err := m.Do(memoKey(i+1), testMeter(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	memo.mu.Lock()
-	_, stillThere := memo.entries[slowKey]
-	memo.mu.Unlock()
-	if !stillThere {
-		t.Fatal("in-flight entry was evicted")
+	if st := m.Stats(); st.InFlight != 1 || st.Size != 2 {
+		t.Fatalf("after overflow: in-flight %d, size %d; want the in-flight entry kept beside one completed entry", st.InFlight, st.Size)
 	}
 
 	// A second caller for slowKey must wait for the first computation,
@@ -92,7 +96,7 @@ func TestMemoKeepsInFlightEntries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		memo.Do(slowKey, func() (*bus.Meter, error) {
+		m.Do(slowKey, func() (*bus.Meter, error) {
 			calls.Add(1)
 			return coding.MeasureRawValues(busWidth, []uint64{2}), nil
 		})
@@ -108,28 +112,24 @@ func TestMemoKeepsInFlightEntries(t *testing.T) {
 // before overflowing must keep it alive while a younger untouched key is
 // evicted instead.
 func TestMemoTouchRefreshesRecency(t *testing.T) {
-	memo := newSFMemo[traceID, *bus.Meter](3)
+	m := memo.New[traceID, *bus.Meter](3)
 	for i := 0; i < 3; i++ {
-		if _, err := memo.Do(memoKey(i+1), testMeter(uint64(i))); err != nil {
+		if _, err := m.Do(memoKey(i+1), testMeter(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch key 1 (the oldest), then insert a fourth key: key 2 is now
 	// the LRU and must be the one evicted.
-	if _, err := memo.Do(memoKey(1), testMeter(0)); err != nil {
+	if _, err := m.Do(memoKey(1), testMeter(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := memo.Do(memoKey(4), testMeter(3)); err != nil {
+	if _, err := m.Do(memoKey(4), testMeter(3)); err != nil {
 		t.Fatal(err)
 	}
-	memo.mu.Lock()
-	_, touched := memo.entries[memoKey(1)]
-	_, lru := memo.entries[memoKey(2)]
-	memo.mu.Unlock()
-	if !touched {
+	if !cached(m, memoKey(1)) {
 		t.Error("recently touched entry was evicted")
 	}
-	if lru {
+	if cached(m, memoKey(2)) {
 		t.Error("least-recently-used entry survived")
 	}
 }
@@ -139,7 +139,7 @@ func TestMemoTouchRefreshesRecency(t *testing.T) {
 // exactly once even while LRU pressure from disjoint keys churns the
 // memo, and all callers for a key must observe the same value.
 func TestMemoSingleFlightUnderContention(t *testing.T) {
-	memo := newSFMemo[int, int](4)
+	m := memo.New[int, int](4)
 	const keys = 8
 	const callers = 6
 	var computed [keys]atomic.Int64
@@ -151,7 +151,7 @@ func TestMemoSingleFlightUnderContention(t *testing.T) {
 			go func(k int) {
 				defer wg.Done()
 				<-start
-				v, err := memo.Do(k, func() (int, error) {
+				v, err := m.Do(k, func() (int, error) {
 					computed[k].Add(1)
 					return k * 100, nil
 				})
@@ -173,7 +173,7 @@ func TestMemoSingleFlightUnderContention(t *testing.T) {
 			t.Errorf("key %d computed %d times", k, n)
 		}
 	}
-	st := memo.Stats()
+	st := m.Stats()
 	if st.InFlight != 0 {
 		t.Fatalf("InFlight = %d after all callers returned", st.InFlight)
 	}
@@ -185,8 +185,8 @@ func TestMemoSingleFlightUnderContention(t *testing.T) {
 // TestMemoResetKeepsInFlight pins Reset's contract: completed entries and
 // counters go, an in-flight computation stays so its waiters coalesce.
 func TestMemoResetKeepsInFlight(t *testing.T) {
-	memo := newSFMemo[traceID, *bus.Meter](8)
-	if _, err := memo.Do(memoKey(1), testMeter(1)); err != nil {
+	m := memo.New[traceID, *bus.Meter](8)
+	if _, err := m.Do(memoKey(1), testMeter(1)); err != nil {
 		t.Fatal(err)
 	}
 	started := make(chan struct{})
@@ -195,15 +195,15 @@ func TestMemoResetKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		memo.Do(memoKey(2), func() (*bus.Meter, error) {
+		m.Do(memoKey(2), func() (*bus.Meter, error) {
 			close(started)
 			<-release
 			return coding.MeasureRawValues(busWidth, []uint64{1}), nil
 		})
 	}()
 	<-started
-	memo.Reset()
-	st := memo.Stats()
+	m.Reset()
+	st := m.Stats()
 	if st.Size != 1 || st.InFlight != 1 {
 		t.Fatalf("after Reset: size %d in-flight %d, want 1 and 1", st.Size, st.InFlight)
 	}
@@ -215,10 +215,10 @@ func TestMemoResetKeepsInFlight(t *testing.T) {
 }
 
 // TestEvalResultMemoizes exercises the package-level result memo through
-// evalResult: a second call with a rebuilt identical transcoder must hit
+// evaluate: a second call with a rebuilt identical transcoder must hit
 // (keyed on the canonical config, not the instance), the retained Result
-// must be detached from the evaluator's reused coded meter, and a
-// different Λ or verify policy must miss.
+// must be detached from the engine's reused coded meter, a different Λ
+// must share the entry, and a different verify policy must miss.
 func TestEvalResultMemoizes(t *testing.T) {
 	ClearEvalMemo()
 	t.Cleanup(ClearEvalMemo)
@@ -226,8 +226,7 @@ func TestEvalResultMemoizes(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint64(i*2654435761) >> 16
 	}
-	raw := coding.MeasureRawValues(busWidth, vals)
-	id := traceID{source: "test-eval-memo"}
+	trace := []evalTrace{{id: traceID{source: "test-eval-memo"}, values: vals}}
 	cfg := Config{}
 	build := func() coding.Transcoder {
 		win, err := coding.NewWindow(busWidth, 8, evalLambda)
@@ -236,30 +235,29 @@ func TestEvalResultMemoizes(t *testing.T) {
 		}
 		return win
 	}
-	var ev coding.Evaluator
-	before := EvalMemoStats()
-	a, err := evalResult(&ev, build(), id, vals, evalLambda, raw, cfg)
-	if err != nil {
-		t.Fatal(err)
+	eval := func(tc coding.Transcoder, lambda float64, cfg Config) coding.Result {
+		t.Helper()
+		res, err := evaluate(context.Background(), []gridPoint{{tc: tc, lambda: lambda}}, trace, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0][0]
 	}
-	// Evaluate something else through the same evaluator: if the memoized
-	// Result still referenced ev's reused coded meter, this would corrupt it.
+	before := EvalMemoStats()
+	a := eval(build(), evalLambda, cfg)
+	// Evaluate something else on the same trace: if the memoized Result
+	// still referenced a reused coded meter, this would corrupt it.
 	other, err := coding.NewStride(busWidth, 2, evalLambda)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evalResult(&ev, other, id, vals, evalLambda, raw, cfg); err != nil {
-		t.Fatal(err)
-	}
-	b, err := evalResult(&ev, build(), id, vals, evalLambda, raw, cfg) // rebuilt instance: must hit
-	if err != nil {
-		t.Fatal(err)
-	}
+	eval(other, evalLambda, cfg)
+	b := eval(build(), evalLambda, cfg) // rebuilt instance: must hit
 	if a.Coded != b.Coded {
 		t.Fatal("memo hit returned a different Result than the original computation")
 	}
 	if a.CodedCost() != b.CodedCost() {
-		t.Fatalf("retained Result was corrupted by later evaluator use: %v != %v", b.CodedCost(), a.CodedCost())
+		t.Fatalf("retained Result was corrupted by later evaluations: %v != %v", b.CodedCost(), a.CodedCost())
 	}
 	st := EvalMemoStats()
 	if hits := st.Hits - before.Hits; hits != 1 {
@@ -268,10 +266,7 @@ func TestEvalResultMemoizes(t *testing.T) {
 	// A different metered Λ shares the same entry — encoder output never
 	// depends on the Λ the meters are read at — and the retrieved Result
 	// is stamped with the requested Λ.
-	atTwo, err := evalResult(&ev, build(), id, vals, 2.0, raw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atTwo := eval(build(), 2.0, cfg)
 	if atTwo.Lambda != 2.0 {
 		t.Fatalf("Λ=2 retrieval carries Λ=%g", atTwo.Lambda)
 	}
@@ -283,12 +278,68 @@ func TestEvalResultMemoizes(t *testing.T) {
 	}
 	// A different verify policy is still a distinct entry.
 	st = EvalMemoStats()
-	cfgSampled := Config{Verify: coding.VerifySampled(0)}
-	if _, err := evalResult(&ev, build(), id, vals, evalLambda, raw, cfgSampled); err != nil {
-		t.Fatal(err)
-	}
+	eval(build(), evalLambda, Config{Verify: coding.VerifySampled(0)})
 	if st2 := EvalMemoStats(); st2.Hits != st.Hits {
 		t.Fatalf("verify-policy change hit the memo (hits %d -> %d)", st.Hits, st2.Hits)
+	}
+}
+
+// TestEvaluatePlanSingleFlight: two concurrent evaluate calls over the
+// same points on one trace encode each configuration once. The batch
+// claim hands every key to whichever call claims first, so the delivered
+// cycle count is exactly one plan's worth however the calls interleave
+// (a memo read before the encode and written after it let both calls
+// miss and both encode).
+func TestEvaluatePlanSingleFlight(t *testing.T) {
+	t.Cleanup(ClearEvalMemo)
+	vals := make([]uint64, 3000)
+	for i := range vals {
+		vals[i] = uint64(i*i) % 61 * 0x10001
+	}
+	trace := []evalTrace{{id: traceID{source: "test-plan-single-flight", n: len(vals)}, values: vals}}
+	var points []gridPoint
+	for _, n := range []int{4, 8, 16} {
+		w, err := coding.NewWindow(busWidth, n, evalLambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, gridPoint{tc: w, lambda: evalLambda})
+	}
+	st, err := coding.NewStride(busWidth, 3, evalLambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One config read at two Λ: a duplicate key within the call.
+	points = append(points, gridPoint{tc: st, lambda: 1}, gridPoint{tc: st, lambda: 2})
+	want := uint64(len(vals) * len(points))
+	for round := 0; round < 20; round++ {
+		ClearEvalMemo()
+		before := coding.EvaluatedCycles()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		results := make([][][]coding.Result, 2)
+		for c := range results {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-start
+				var err error
+				if results[c], err = evaluate(context.Background(), points, trace, Config{}); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		if got := coding.EvaluatedCycles() - before; got != want {
+			t.Fatalf("round %d: %d cycles evaluated, want %d (one encode per config)", round, got, want)
+		}
+		for i, p := range points {
+			a, b := results[0][0][i], results[1][0][i]
+			if a.Coded != b.Coded || a.Lambda != p.lambda || b.Lambda != p.lambda {
+				t.Fatalf("round %d point %d: callers got different results", round, i)
+			}
+		}
 	}
 }
 

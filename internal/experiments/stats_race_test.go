@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"buspower/internal/bus"
 	"buspower/internal/coding"
+	"buspower/internal/memo"
 )
 
 // TestMemoStatsReadableUnderLoad is the -race regression test for the
@@ -18,7 +18,7 @@ import (
 // many goroutines are driving Do, exactly as the serve /metrics scrape
 // reads the memo and cache counters while evaluations are in flight.
 func TestMemoStatsReadableUnderLoad(t *testing.T) {
-	m := newSFMemo[int, int](8)
+	m := memo.New[int, int](8)
 	stop := make(chan struct{})
 	var scrapes sync.WaitGroup
 	for s := 0; s < 4; s++ {
@@ -50,9 +50,6 @@ func TestMemoStatsReadableUnderLoad(t *testing.T) {
 					t.Errorf("Do(%d): %v", key, err)
 					return
 				}
-				if i%100 == 0 {
-					m.Forget(key)
-				}
 			}
 		}(w)
 	}
@@ -69,17 +66,17 @@ func TestMemoStatsReadableUnderLoad(t *testing.T) {
 }
 
 // TestMemoForgetDropsCancellationErrors: a context-cancelled evaluation
-// must not be served from the memo to later identical requests.
+// must not be served from the memo to later identical requests — the
+// memo forgets it on its own.
 func TestMemoForgetDropsCancellationErrors(t *testing.T) {
-	m := newSFMemo[string, int](8)
+	m := memo.New[string, int](8)
 	fail := func() (int, error) { return 0, context.Canceled }
 	if _, err := m.Do("k", fail); !errors.Is(err, context.Canceled) {
 		t.Fatalf("seeded error: %v", err)
 	}
-	m.Forget("k")
 	v, err := m.Do("k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
-		t.Fatalf("recompute after Forget: %d, %v (want 7, nil)", v, err)
+		t.Fatalf("recompute after cancellation: %d, %v (want 7, nil)", v, err)
 	}
 	// A deterministic error, by contrast, stays cached until it ages out.
 	boom := fmt.Errorf("deterministic failure")
@@ -102,7 +99,7 @@ func TestMemoForgetDropsCancellationErrors(t *testing.T) {
 // every waiter observes its successful result; only the leader sees the
 // cancellation.
 func TestMemoCancelledLeaderDoesNotFailWaiters(t *testing.T) {
-	m := newSFMemo[string, int](8)
+	m := memo.New[string, int](8)
 	leaderIn := make(chan struct{})
 	leaderGo := make(chan struct{})
 	var leaderErr error
@@ -174,9 +171,9 @@ func TestMemoCancelledLeaderDoesNotFailWaiters(t *testing.T) {
 
 // TestMemoCancelledLeaderWithNoWaiters: with nobody coalesced, a
 // context-cancelled computation simply leaves no entry behind — the next
-// caller for the key recomputes without needing Forget.
+// caller for the key recomputes.
 func TestMemoCancelledLeaderWithNoWaiters(t *testing.T) {
-	m := newSFMemo[string, int](8)
+	m := memo.New[string, int](8)
 	if _, err := m.Do("k", func() (int, error) { return 0, context.DeadlineExceeded }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader error: %v", err)
 	}
@@ -189,34 +186,38 @@ func TestMemoCancelledLeaderWithNoWaiters(t *testing.T) {
 	}
 }
 
-// TestEvalResultMemoDropsCancellation: the full evalResultKeyed path must
-// recompute after a cancelled fetch instead of replaying the cancellation
-// to every later request for the same key (the serving-path poisoning
-// regression).
+// TestEvalResultMemoDropsCancellation: evaluate must recompute after a
+// cancelled call instead of replaying the cancellation to every later
+// request for the same key (the serving-path poisoning regression). The
+// cancelled call claims the key before it notices its context, so this
+// drives the un-cache path, not an early return.
 func TestEvalResultMemoDropsCancellation(t *testing.T) {
 	tc, err := coding.NewStride(32, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := traceID{source: "stats-race-test-cancel", n: 10}
-	trace := []uint64{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
-	var ev coding.Evaluator
-	// A fetch interrupted by cancellation (as when a per-request timeout
-	// fires mid-trace-load) fails this call...
-	_, err = evalResultKeyed(&ev, tc, id, 1, Config{}, func() ([]uint64, *bus.Meter, error) {
-		return nil, nil, context.Canceled
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fetch: %v", err)
+	trace := []evalTrace{{
+		id:     traceID{source: "stats-race-test-cancel", n: 10},
+		values: []uint64{9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+	}}
+	points := []gridPoint{{tc: tc, lambda: 1}}
+	// A call whose request was cancelled (as when a per-request timeout
+	// fires before the trace is resolved) fails...
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := EvalMemoStats()
+	if _, err := evaluate(ctx, points, trace, Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call: %v", err)
 	}
 	// ...but must not be replayed to the next identical request.
-	res, err := evalResultKeyed(&ev, tc, id, 1, Config{}, func() ([]uint64, *bus.Meter, error) {
-		return trace, nil, nil
-	})
+	res, err := evaluate(context.Background(), points, trace, Config{})
 	if err != nil {
 		t.Fatalf("identical request after cancellation still fails: %v", err)
 	}
-	if res.Raw.Cycles() == 0 {
+	if res[0][0].Raw.Cycles() == 0 {
 		t.Fatal("empty result after recompute")
+	}
+	if after := EvalMemoStats(); after.Misses-before.Misses != 2 || after.Hits != before.Hits {
+		t.Fatalf("memo counters %+v -> %+v, want two claims (cancelled, then recomputed) and no hit", before, after)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"buspower/internal/cpu"
+	"buspower/internal/memo"
 )
 
 // TraceSet is the bus traffic extracted from one workload run.
@@ -59,30 +60,30 @@ type cacheKey struct {
 	cfg  RunConfig
 }
 
-// cacheEntry is one single-flight cache slot: the first caller to claim a
-// key simulates and closes ready; everyone else blocks on ready and reads
-// the stored result.
-type cacheEntry struct {
-	ready chan struct{}
-	ts    TraceSet
-	err   error
-}
+// traceCacheLimit bounds the in-memory trace cache. A full -exp all run
+// touches 17 (workload, RunConfig) keys, so the bound holds a whole sweep
+// with room to spare, while a server answering requests with many
+// distinct run bounds holds at most this many simulated TraceSets.
+const traceCacheLimit = 32
 
 var (
-	cacheMu     sync.Mutex
-	traceCache  = map[cacheKey]*cacheEntry{}
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	diskHits    atomic.Uint64
-	diskMisses  atomic.Uint64
-	diskErrors  atomic.Uint64
-	peerHits    atomic.Uint64
-	peerMisses  atomic.Uint64
-	peerErrors  atomic.Uint64
+	// traceMemo is the in-memory cache. ClearTraceCache swaps in a fresh
+	// memo, so simulations in flight at the time are delivered to their
+	// waiters but never cached for later callers.
+	traceMemo atomic.Pointer[memo.Memo[cacheKey, TraceSet]]
+
+	diskHits   atomic.Uint64
+	diskMisses atomic.Uint64
+	diskErrors atomic.Uint64
+	peerHits   atomic.Uint64
+	peerMisses atomic.Uint64
+	peerErrors atomic.Uint64
 
 	peerFetchMu sync.RWMutex
 	peerFetch   func(key string) ([]byte, bool)
 )
+
+func init() { traceMemo.Store(memo.New[cacheKey, TraceSet](traceCacheLimit)) }
 
 // SetPeerTraceFetcher installs (or, with nil, removes) the cluster
 // peer-fetch hook: on a disk-cache miss, simulate calls f with the
@@ -107,28 +108,16 @@ func peerTraceFetcher() func(key string) ([]byte, bool) {
 // Traces returns the workload's bus traces, memoized per (workload,
 // config) so the many figure sweeps sharing a trace do not re-simulate.
 //
-// The cache is single-flight and safe for concurrent use: when N callers
-// ask for the same (workload, config) at once, exactly one runs the
-// simulation while the rest block until its result (or error — errors are
-// deterministic here, so they are cached too) is ready. All callers share
-// the same backing arrays; traces must be treated as read-only.
+// The cache is single-flight, LRU-bounded and safe for concurrent use:
+// when N callers ask for the same (workload, config) at once, exactly one
+// runs the simulation while the rest block until its result (or error —
+// errors are deterministic here, so they are cached too) is ready. All
+// callers share the same backing arrays; traces must be treated as
+// read-only.
 func Traces(name string, cfg RunConfig) (TraceSet, error) {
-	key := cacheKey{name, cfg}
-	cacheMu.Lock()
-	e, ok := traceCache[key]
-	if ok {
-		cacheMu.Unlock()
-		cacheHits.Add(1)
-		<-e.ready
-		return e.ts, e.err
-	}
-	e = &cacheEntry{ready: make(chan struct{})}
-	traceCache[key] = e
-	cacheMu.Unlock()
-	cacheMisses.Add(1)
-	e.ts, e.err = simulate(name, cfg)
-	close(e.ready)
-	return e.ts, e.err
+	return traceMemo.Load().Do(cacheKey{name, cfg}, func() (TraceSet, error) {
+		return simulate(name, cfg)
+	})
 }
 
 // simulate produces a TraceSet, consulting the persistent disk cache when
@@ -196,7 +185,8 @@ func simulate(name string, cfg RunConfig) (TraceSet, error) {
 // simulations actually started. After any burst of concurrent Traces
 // calls for one key, misses increases by exactly 1.
 func TraceCacheStats() (hits, misses uint64) {
-	return cacheHits.Load(), cacheMisses.Load()
+	st := traceMemo.Load().Stats()
+	return st.Hits, st.Misses
 }
 
 // CacheStats is a full accounting of both trace cache layers.
@@ -222,9 +212,10 @@ type CacheStats struct {
 
 // Stats reports both cache layers' counters.
 func Stats() CacheStats {
+	hits, misses := TraceCacheStats()
 	return CacheStats{
-		MemHits:    cacheHits.Load(),
-		MemMisses:  cacheMisses.Load(),
+		MemHits:    hits,
+		MemMisses:  misses,
 		DiskHits:   diskHits.Load(),
 		DiskMisses: diskMisses.Load(),
 		DiskErrors: diskErrors.Load(),
@@ -241,11 +232,7 @@ func Stats() CacheStats {
 // complete and are delivered to their waiters, but their results are no
 // longer cached for later callers.
 func ClearTraceCache() {
-	cacheMu.Lock()
-	traceCache = map[cacheKey]*cacheEntry{}
-	cacheMu.Unlock()
-	cacheHits.Store(0)
-	cacheMisses.Store(0)
+	traceMemo.Store(memo.New[cacheKey, TraceSet](traceCacheLimit))
 	diskHits.Store(0)
 	diskMisses.Store(0)
 	diskErrors.Store(0)

@@ -88,3 +88,31 @@ func TestTracesCachesErrors(t *testing.T) {
 		t.Errorf("misses = %d, want 1 (error cached)", misses)
 	}
 }
+
+// TestTracesCacheIsBounded: however many distinct run configs callers
+// ask for, the in-memory cache keeps at most traceCacheLimit of them,
+// evicting the least recently used.
+func TestTracesCacheIsBounded(t *testing.T) {
+	ClearTraceCache()
+	defer ClearTraceCache()
+	cfgOf := func(i int) RunConfig { return RunConfig{MaxInstructions: 2_000 + uint64(i), MaxBusValues: 200} }
+	for i := 0; i <= traceCacheLimit; i++ {
+		if _, err := Traces("li", cfgOf(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := traceMemo.Load().Stats(); st.Size > traceCacheLimit || st.Evictions != 1 {
+		t.Fatalf("after %d distinct configs: %d entries, %d evictions; want at most %d entries, 1 eviction",
+			traceCacheLimit+1, st.Size, st.Evictions, traceCacheLimit)
+	}
+	// The newest config is still cached; the oldest was the one evicted.
+	if _, err := Traces("li", cfgOf(traceCacheLimit)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Traces("li", cfgOf(0)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := TraceCacheStats(); hits != 1 || misses != traceCacheLimit+2 {
+		t.Errorf("hits %d / misses %d, want 1 / %d", hits, misses, traceCacheLimit+2)
+	}
+}
