@@ -9,7 +9,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,13 +45,55 @@ type loadtestReport struct {
 	WarmupSecs   float64  `json:"warmup_seconds"`
 	MeasuredSecs float64  `json:"measured_seconds"`
 
+	loadtestStats
+	Note string `json:"note,omitempty"`
+}
+
+// loadtestStats is the measured phase's outcome.
+type loadtestStats struct {
 	Requests     uint64  `json:"requests"`
 	Errors       uint64  `json:"errors"`
-	ReqPerSec    float64 `json:"requests_per_second"`
+	ReqPerSec    float64 `json:"requests_per_second"` // successful requests only
 	LatencyMsP50 float64 `json:"latency_ms_p50"`
 	LatencyMsP95 float64 `json:"latency_ms_p95"`
 	LatencyMsP99 float64 `json:"latency_ms_p99"`
-	Note         string  `json:"note,omitempty"`
+}
+
+// summarizeLoadtest derives the measured phase's stats from its request
+// and error counts, its latency samples (one per completed request, any
+// order; not modified) and its wall time, and applies the -min-rps gate:
+// with minRPS > 0 the run fails if any measured request failed or the
+// successful req/s falls below minRPS. minRPS <= 0 disables the gate.
+func summarizeLoadtest(requests, errors uint64, samples []time.Duration, elapsed time.Duration, minRPS float64) (loadtestStats, error) {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	pct := func(p float64) float64 {
+		if len(sorted) == 0 {
+			return 0
+		}
+		i := int(p * float64(len(sorted)-1))
+		return float64(sorted[i].Microseconds()) / 1000
+	}
+	st := loadtestStats{
+		Requests:     requests,
+		Errors:       errors,
+		LatencyMsP50: pct(0.50),
+		LatencyMsP95: pct(0.95),
+		LatencyMsP99: pct(0.99),
+	}
+	if elapsed > 0 {
+		st.ReqPerSec = float64(requests-errors) / elapsed.Seconds()
+	}
+	if minRPS <= 0 {
+		return st, nil
+	}
+	if errors > 0 {
+		return st, fmt.Errorf("loadtest: %d of %d measured requests failed", errors, requests)
+	}
+	if st.ReqPerSec < minRPS {
+		return st, fmt.Errorf("loadtest: %.0f req/s is below the %.0f floor", st.ReqPerSec, minRPS)
+	}
+	return st, nil
 }
 
 // loadtestRequests derives the distinct request set: deterministic
@@ -97,7 +139,7 @@ func runLoadtest(args []string) error {
 		seed        = fs.Uint64("seed", 0x9E3779B97F4A7C15, "request-generation seed")
 		out         = fs.String("out", "", "write the JSON report to this file (default stdout)")
 		note        = fs.String("note", "", "free-form context recorded in the report")
-		minRPS      = fs.Float64("min-rps", 0, "fail unless measured req/s >= this (0 disables)")
+		minRPS      = fs.Float64("min-rps", 0, "fail unless measured req/s >= this and no measured request failed (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -162,37 +204,25 @@ func runLoadtest(args []string) error {
 	for _, l := range latencies {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(all)-1))
-		return float64(all[i].Microseconds()) / 1000
-	}
+	stats, gateErr := summarizeLoadtest(requests.Load(), errors.Load(), all, elapsed, *minRPS)
 
 	rep := loadtestReport{
-		Schema:       1,
-		Created:      time.Now().UTC(),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Targets:      targets,
-		Concurrency:  *concurrency,
-		DistinctKeys: *keys,
-		Scheme:       *scheme,
-		TraceLen:     *traceLen,
-		WarmupSecs:   warmup.Seconds(),
-		MeasuredSecs: elapsed.Seconds(),
-		Requests:     requests.Load(),
-		Errors:       errors.Load(),
-		ReqPerSec:    float64(requests.Load()-errors.Load()) / elapsed.Seconds(),
-		LatencyMsP50: pct(0.50),
-		LatencyMsP95: pct(0.95),
-		LatencyMsP99: pct(0.99),
-		Note:         *note,
+		Schema:        1,
+		Created:       time.Now().UTC(),
+		GoVersion:     runtime.Version(),
+		GOOS:          runtime.GOOS,
+		GOARCH:        runtime.GOARCH,
+		NumCPU:        runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		Targets:       targets,
+		Concurrency:   *concurrency,
+		DistinctKeys:  *keys,
+		Scheme:        *scheme,
+		TraceLen:      *traceLen,
+		WarmupSecs:    warmup.Seconds(),
+		MeasuredSecs:  elapsed.Seconds(),
+		loadtestStats: stats,
+		Note:          *note,
 	}
 	fmt.Fprintf(os.Stderr, "loadtest: %d req (%d errors) in %.2fs = %.0f req/s; p50 %.3fms p95 %.3fms p99 %.3fms\n",
 		rep.Requests, rep.Errors, rep.MeasuredSecs, rep.ReqPerSec, rep.LatencyMsP50, rep.LatencyMsP95, rep.LatencyMsP99)
@@ -214,10 +244,7 @@ func runLoadtest(args []string) error {
 	} else if err := printJSON(rep); err != nil {
 		return err
 	}
-	if *minRPS > 0 && rep.ReqPerSec < *minRPS {
-		return fmt.Errorf("loadtest: %.0f req/s is below the %.0f floor", rep.ReqPerSec, *minRPS)
-	}
-	return nil
+	return gateErr
 }
 
 // runWorkers drives the closed loop until ctx ends. latencies (when

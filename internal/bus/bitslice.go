@@ -11,12 +11,11 @@ import (
 // it costs one 64×64 bit-matrix transpose per block of 64 values; in
 // exchange, the per-wire statistics the scalar Meter accumulates
 // cycle-by-cycle become whole-word popcounts over the planes (64 cycles
-// advance per machine word), and stateless per-wire recodings are
-// plane-level transforms instead of per-cycle work.
+// advance per machine word).
 //
 // The represented measurement is exactly that of coding.MeasureRawValues:
-// power-up in the all-zero state, then one beat per value. Meter and
-// MeterLite are differential-tested bit-for-bit against the scalar path.
+// power-up in the all-zero state, then one beat per value. Meter is
+// differential-tested bit-for-bit against the scalar path.
 type SlicedTrace struct {
 	width  int
 	n      int // values represented
@@ -84,59 +83,17 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// Width returns the data width of the represented trace.
-func (s *SlicedTrace) Width() int { return s.width }
-
-// Len returns the number of represented values.
-func (s *SlicedTrace) Len() int { return s.n }
-
-// Plane returns wire b's packed value stream (do not mutate).
-func (s *SlicedTrace) Plane(b int) []uint64 {
-	return s.lanes[b*s.blocks : (b+1)*s.blocks]
-}
-
-// Gray returns the sliced trace of the reflected-binary (Gray) coding of
-// every value: bit b of the coded value is v_b ^ v_{b+1}, so coded plane
-// b is simply plane b XOR plane b+1 (the top plane XORs against zero) —
-// the plane-level form of coding.GrayEncode.
-func (s *SlicedTrace) Gray() *SlicedTrace {
-	g := &SlicedTrace{
-		width:  s.width,
-		n:      s.n,
-		blocks: s.blocks,
-		last:   (s.last ^ (s.last >> 1)) & uint64(Mask(s.width)),
-		lanes:  make([]uint64, len(s.lanes)),
-	}
-	for b := 0; b < s.width; b++ {
-		lo := s.lanes[b*s.blocks : (b+1)*s.blocks]
-		out := g.lanes[b*s.blocks : (b+1)*s.blocks]
-		if b+1 < s.width {
-			hi := s.lanes[(b+1)*s.blocks : (b+2)*s.blocks]
-			for k := range out {
-				out[k] = lo[k] ^ hi[k]
-			}
-		} else {
-			copy(out, lo)
-		}
-	}
-	return g
-}
-
 // Meter returns a detailed meter (per-wire and per-pair histograms)
 // bit-identical to feeding [0, v_0, ..., v_{n-1}] through NewMeter —
 // the accounting of coding.MeasureRawValues, histograms included, with
 // every per-wire count produced by lane-parallel popcounts.
-func (s *SlicedTrace) Meter() *Meter { return s.meter(NewMeter(s.width)) }
-
-// MeterLite is Meter with Σ-only accumulation (NewMeterLite).
-func (s *SlicedTrace) MeterLite() *Meter { return s.meter(NewMeterLite(s.width)) }
-
-// meter fills m (fresh, at s.width) from the planes. The transition lane
-// of a plane is t = w ^ ((w << 1) | carry): bit j of word k compares
-// cycle k*64+j with its predecessor, the carry threading the previous
-// word's top lane across block boundaries and the initial all-zero state
-// entering as carry 0 into the first word.
-func (s *SlicedTrace) meter(m *Meter) *Meter {
+//
+// The transition lane of a plane is t = w ^ ((w << 1) | carry): bit j of
+// word k compares cycle k*64+j with its predecessor, the carry threading
+// the previous word's top lane across block boundaries and the initial
+// all-zero state entering as carry 0 into the first word.
+func (s *SlicedTrace) Meter() *Meter {
+	m := NewMeter(s.width)
 	tail := ^uint64(0)
 	if r := s.n & 63; r != 0 {
 		tail = (uint64(1) << uint(r)) - 1
@@ -171,10 +128,8 @@ func (s *SlicedTrace) meter(m *Meter) *Meter {
 		}
 		transitions += tc
 		couplings += sc + 2*oc
-		if m.perWire != nil {
-			m.perWire[b] = tc
-			m.perPair[b] = sc + 2*oc
-		}
+		m.perWire[b] = tc
+		m.perPair[b] = sc + 2*oc
 	}
 	// Top plane (or the only plane at width 1): transitions only.
 	{
@@ -190,9 +145,7 @@ func (s *SlicedTrace) meter(m *Meter) *Meter {
 			tc += uint64(bits.OnesCount64(t))
 		}
 		transitions += tc
-		if m.perWire != nil {
-			m.perWire[b] = tc
-		}
+		m.perWire[b] = tc
 	}
 	m.started = true
 	m.prev = Word(s.last)

@@ -7,13 +7,8 @@ import (
 
 // scalarMeasure is the reference the sliced path must reproduce exactly:
 // power-up at zero, then one beat per value (coding.MeasureRawValues).
-func scalarMeasure(width int, values []uint64, detailed bool) *Meter {
-	var m *Meter
-	if detailed {
-		m = NewMeter(width)
-	} else {
-		m = NewMeterLite(width)
-	}
+func scalarMeasure(width int, values []uint64) *Meter {
+	m := NewMeter(width)
 	m.Record(0)
 	m.RecordValues(values)
 	return m
@@ -91,12 +86,11 @@ func TestSlicedTraceMatchesMeter(t *testing.T) {
 	for _, width := range []int{1, 2, 33, 64} {
 		for name, trace := range testTraces(width, rng) {
 			s := NewSlicedTrace(width, trace)
-			if s.Len() != len(trace) || s.Width() != width {
-				t.Fatalf("w%d/%s: sliced dims %d/%d", width, name, s.Len(), s.Width())
+			if s.n != len(trace) || s.width != width {
+				t.Fatalf("w%d/%s: sliced dims %d/%d", width, name, s.n, s.width)
 			}
 			t.Run(name, func(t *testing.T) {
-				compareMeters(t, scalarMeasure(width, trace, true), s.Meter())
-				compareMeters(t, scalarMeasure(width, trace, false), s.MeterLite())
+				compareMeters(t, scalarMeasure(width, trace), s.Meter())
 			})
 		}
 	}
@@ -112,7 +106,7 @@ func TestSlicedTracePlanes(t *testing.T) {
 	s := NewSlicedTrace(width, trace)
 	mask := uint64(Mask(width))
 	for b := 0; b < width; b++ {
-		plane := s.Plane(b)
+		plane := s.lanes[b*s.blocks : (b+1)*s.blocks]
 		for i, v := range trace {
 			want := (v & mask >> uint(b)) & 1
 			got := plane[i/64] >> uint(i%64) & 1
@@ -120,23 +114,6 @@ func TestSlicedTracePlanes(t *testing.T) {
 				t.Fatalf("plane %d cycle %d: got %d want %d", b, i, got, want)
 			}
 		}
-	}
-}
-
-func TestSlicedTraceGray(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, width := range []int{1, 2, 33, 64} {
-		mask := uint64(Mask(width))
-		trace := make([]uint64, 500)
-		for i := range trace {
-			trace[i] = rng.Uint64()
-		}
-		gray := make([]uint64, len(trace))
-		for i, v := range trace {
-			v &= mask
-			gray[i] = (v ^ (v >> 1)) & mask
-		}
-		compareMeters(t, scalarMeasure(width, gray, true), NewSlicedTrace(width, trace).Gray().Meter())
 	}
 }
 
@@ -155,7 +132,6 @@ func FuzzSlicedMeter(f *testing.F) {
 			trace = append(trace, v)
 		}
 		s := NewSlicedTrace(width, trace)
-		compareMeters(t, scalarMeasure(width, trace, true), s.Meter())
-		compareMeters(t, scalarMeasure(width, trace, false), s.MeterLite())
+		compareMeters(t, scalarMeasure(width, trace), s.Meter())
 	})
 }

@@ -265,8 +265,19 @@ func TestMeterShortTraceCostPerCycle(t *testing.T) {
 	}
 }
 
+// MeasureTrace runs a fresh meter over the given sequence of bus states
+// and returns it: one-shot accounting for the tests below.
+func MeasureTrace(width int, trace []Word) *Meter {
+	m := NewMeter(width)
+	m.RecordTrace(trace)
+	return m
+}
+
 func TestMeasureTrace(t *testing.T) {
 	m := MeasureTrace(4, []Word{0b0000, 0b1111, 0b0000})
+	if m.Cycles() != 3 {
+		t.Errorf("Cycles = %d, want 3", m.Cycles())
+	}
 	if m.Transitions() != 8 {
 		t.Errorf("Transitions = %d, want 8", m.Transitions())
 	}

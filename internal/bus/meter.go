@@ -382,11 +382,3 @@ func (m *Meter) Reset() {
 		m.perPair[i] = 0
 	}
 }
-
-// MeasureTrace runs a fresh meter over the given sequence of bus states
-// and returns it. It is a convenience for one-shot accounting.
-func MeasureTrace(width int, trace []Word) *Meter {
-	m := NewMeter(width)
-	m.RecordTrace(trace)
-	return m
-}

@@ -37,14 +37,13 @@ type GridCell struct {
 
 // evaluatedCycles counts (trace cycle × grid cell) units delivered by
 // the engine process-wide. Grouped passes deliver more cycles than they
-// execute — that efficiency is exactly what the bench suite's
-// throughput line measures.
+// execute.
 var evaluatedCycles atomic.Uint64
 
 // EvaluatedCycles returns the process-wide count of evaluation cycles
 // delivered: one unit per trace cycle per evaluated grid cell (a plain
-// Evaluate counts as a one-cell grid). The bench harness differences
-// this around a suite pass to report suite-level throughput.
+// Evaluate counts as a one-cell grid). The benchmark program's traced
+// run differences it around a pass to report coding.eval_mcycles.
 func EvaluatedCycles() uint64 { return evaluatedCycles.Load() }
 
 // EvaluateGrid is EvaluateBatch over the one trace, with its optional

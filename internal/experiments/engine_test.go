@@ -80,6 +80,28 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
+// A rerun of the same experiments is served from the evaluation memo:
+// it hits and computes nothing new.
+func TestRunAllRerunHitsMemo(t *testing.T) {
+	ClearEvalMemo()
+	t.Cleanup(ClearEvalMemo)
+	ids := []string{"fig16", "fig18"}
+	if _, err := RunAll(context.Background(), quickCfg, ids, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	before := EvalMemoStats()
+	if _, err := RunAll(context.Background(), quickCfg, ids, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	after := EvalMemoStats()
+	if after.Hits == before.Hits {
+		t.Error("rerun had no eval memo hits")
+	}
+	if after.Misses != before.Misses {
+		t.Errorf("rerun missed the eval memo %d times", after.Misses-before.Misses)
+	}
+}
+
 func TestRunAllValidatesUpFront(t *testing.T) {
 	// An unknown id anywhere in the list must fail before any experiment
 	// runs — observable through the trace-cache counters.

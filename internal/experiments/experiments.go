@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each runner is a pure function of its Config, returning a
 // Table whose rows/series correspond to what the paper plots; cmd/buspower
-// prints them as TSV and the bench harness regenerates them under
+// prints them as TSV and bench_test.go regenerates them under
 // go test -bench.
 package experiments
 

@@ -117,9 +117,8 @@ func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
 func SlicedCacheStats() MemoStats { return MemoStats{} }
 
 // ClearEvalMemo returns the evaluation-result memos (fixed-length and
-// VLC) and the engine's stride-tape cache to their cold state (the
-// bench harness's memo-cold phase; raw-meter and trace caches are
-// governed separately).
+// VLC) and the engine's stride-tape cache to their cold state
+// (raw-meter and trace caches are governed separately).
 func ClearEvalMemo() {
 	resultMemo.Reset()
 	vlcMemo.Reset()

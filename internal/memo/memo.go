@@ -268,9 +268,8 @@ func (c *Memo[K, V]) Stats() Stats {
 }
 
 // Reset drops every completed entry and zeroes the counters, returning
-// the memo to its cold state (for tests and the bench harness's
-// memo-cold phases). In-flight entries are kept so their waiters still
-// coalesce.
+// the memo to its cold state. In-flight entries are kept so their
+// waiters still coalesce.
 func (c *Memo[K, V]) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
