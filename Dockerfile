@@ -11,7 +11,9 @@ RUN apk add --no-cache ca-certificates curl && adduser -D -u 10001 buspower
 USER buspower
 COPY --from=build /out/buspower /usr/local/bin/buspower
 # The trace cache defaults to the user cache dir; keep it on a volume so
-# warmed simulations survive container restarts.
+# warmed simulations survive container restarts. Creating the directory
+# as the runtime user first makes a fresh volume writable by it.
+RUN mkdir -p /home/buspower/.cache/buspower
 VOLUME ["/home/buspower/.cache/buspower"]
 EXPOSE 8080
 ENTRYPOINT ["buspower"]

@@ -10,10 +10,8 @@
 //	buspower -exp all -trace-cache /tmp/traces
 //	buspower -exp all -verify full
 //	buspower serve -addr :8080 -workers 8
-//	buspower serve -addr :8081 -self n1 -peers n0=http://h0:8080,n1=http://h1:8081
 //	buspower eval -server http://localhost:8080 -scheme gray -random 10000
 //	buspower job -server http://localhost:8080 -suite table3,fig15 -watch
-//	buspower loadtest -servers http://h0:8080,http://h1:8081 -c 64 -duration 15s
 //
 // Experiments run concurrently on a bounded worker pool (-jobs, default
 // GOMAXPROCS) with deterministic output: the printed TSVs are
@@ -44,10 +42,9 @@
 // The serve subcommand exposes the same memoized evaluation engine as an
 // HTTP JSON API (POST /v1/eval, plus /v1/schemes, /v1/workloads,
 // /healthz and Prometheus-format /metrics); see "Serving" in README.md.
-// With -self/-peers, replicas form a static consistent-hash cache group:
-// each request key has owner replicas, non-owners fetch cached results
-// over the internal /v1/peer API before computing locally, and any peer
-// failure degrades to local compute (see "Serving topology" in README.md).
+// Several replicas are independent processes; pointing their
+// -trace-cache at one shared directory lets them reuse each other's
+// simulated traces (see "Several replicas" in README.md).
 // Batches and whole experiment suites run asynchronously behind
 // POST /v1/jobs: jobs are content-addressed, drained by a dedicated
 // worker pool, observable via GET /v1/jobs/{id} (or the SSE stream at
@@ -58,9 +55,6 @@
 // The eval and job subcommands are remote clients for a running server,
 // built on the typed SDK (pkg/buspowersdk): eval runs one synchronous
 // evaluation; job submits, lists, watches (SSE) and cancels async jobs.
-// The loadtest subcommand measures closed-loop warm-path throughput
-// against one server or a whole shard group and writes a JSON report
-// that records the machine context next to the numbers.
 package main
 
 import (
@@ -82,10 +76,9 @@ import (
 
 func main() {
 	subcommands := map[string]func([]string) error{
-		"serve":    runServe,
-		"eval":     runEval,
-		"job":      runJob,
-		"loadtest": runLoadtest,
+		"serve": runServe,
+		"eval":  runEval,
+		"job":   runJob,
 	}
 	if len(os.Args) > 1 {
 		if sub, ok := subcommands[os.Args[1]]; ok {

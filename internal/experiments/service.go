@@ -294,16 +294,14 @@ func valuesDigest(vals []uint64) [sha256.Size]byte {
 	return sum
 }
 
-// RequestKey derives a request's canonical cluster-wide identity: the
+// RequestKey derives a request's canonical identity: the
 // SHA-256 (hex) over the canonical request's JSON encoding without its
 // values, then a "values" tag with the value count, then valuesDigest of
 // the values. Inline values are thus hashed once as words, never
 // re-marshalled. The request must be in canonical form (as
 // ParseEvalRequest returns); two requests describing the same
 // evaluation, however their JSON was originally spelled, get the same
-// key. The serving layer's consistent-hash ring shards the eval-result
-// state on this key, so every replica of one version derives the same
-// owner without coordination.
+// key. The serving layer's response cache is keyed on it.
 func RequestKey(req EvalRequest) (string, error) {
 	if err := req.normalize(); err != nil {
 		return "", err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -16,10 +15,8 @@ import (
 
 // handleEval answers POST /v1/eval: one experiments.EvalRequest in, one
 // experiments.EvalResponse out. The full pipeline is: body size limit →
-// strict parse/validate (400) → ring routing (non-owned keys go to the
-// response cache or the owner replica, with local fallback) → pool
-// admission (429 when saturated) → per-request timeout → memoized
-// evaluation.
+// strict parse/validate (400) → response cache → pool admission (429
+// when saturated) → per-request timeout → memoized evaluation.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -36,7 +33,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// responses are ever stored under a body alias, so the shortcut can
 	// never change an answer — at worst it misses and the full pipeline
 	// runs.
-	bodyKey := bodyRingKey(body)
+	bodyKey := bodyCacheKey(body)
 	if data, ok := s.respCache.get(bodyKey); ok {
 		writeJSONBytes(w, http.StatusOK, data)
 		return
@@ -58,57 +55,29 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ringKey := evalRingKey(key)
-	if s.serveFromCluster(w, r, req, ringKey, bodyKey) {
+	// The response byte cache holds the exact marshalled 200 payload per
+	// canonical key. Only successful payloads are cached — an error below
+	// describes this request's admission or deadline, not the key's
+	// value.
+	evalKey := evalCacheKey(key)
+	if data, ok := s.respCache.get(evalKey); ok {
+		s.respCache.put(bodyKey, data)
+		writeJSONBytes(w, http.StatusOK, data)
 		return
 	}
-	data, herr := s.evalResponseBytes(r, req, ringKey)
-	if herr != nil {
-		herr.write(w)
-		return
-	}
-	s.respCache.put(bodyKey, data)
-	writeJSONBytes(w, http.StatusOK, data)
-}
 
-// httpError carries an error-response decision out of evalResponseBytes
-// so /v1/eval and /v1/peer/eval render identical failures.
-type httpError struct {
-	code       int
-	retryAfter int // seconds; emitted as Retry-After when > 0
-	msg        string
-}
-
-func (e *httpError) write(w http.ResponseWriter) {
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
-	}
-	writeError(w, e.code, "%s", e.msg)
-}
-
-// evalResponseBytes produces the exact marshalled 200 payload for a
-// parsed request: the response byte cache first, then the bounded pool
-// and the memoized engine on a miss. Only successful payloads are
-// cached — an error here describes this request's admission or
-// deadline, not the key's value.
-func (s *Server) evalResponseBytes(r *http.Request, req experiments.EvalRequest, ringKey string) ([]byte, *httpError) {
-	if data, ok := s.respCache.get(ringKey); ok {
-		return data, nil
-	}
 	release, err := s.pool.acquire(r.Context())
 	if err != nil {
 		switch {
 		case errors.Is(err, errSaturated):
-			return nil, &httpError{
-				code:       http.StatusTooManyRequests,
-				retryAfter: s.evalRetryAfterSeconds(),
-				msg:        fmt.Sprintf("server saturated: %d evaluations running, %d queued", s.opts.Workers, s.opts.QueueDepth),
-			}
+			w.Header().Set("Retry-After", strconv.Itoa(s.evalRetryAfterSeconds()))
+			writeError(w, http.StatusTooManyRequests, "server saturated: %d evaluations running, %d queued", s.opts.Workers, s.opts.QueueDepth)
 		case errors.Is(err, context.DeadlineExceeded):
-			return nil, &httpError{code: http.StatusGatewayTimeout, msg: "request deadline expired while queued"}
+			writeError(w, http.StatusGatewayTimeout, "request deadline expired while queued")
 		default: // client went away while queued
-			return nil, &httpError{code: http.StatusServiceUnavailable, msg: "request cancelled while queued"}
+			writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
 		}
+		return
 	}
 	defer release()
 
@@ -122,22 +91,25 @@ func (s *Server) evalResponseBytes(r *http.Request, req experiments.EvalRequest,
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			return nil, &httpError{code: http.StatusGatewayTimeout, msg: fmt.Sprintf("evaluation exceeded the %v request timeout", s.opts.RequestTimeout)}
+			writeError(w, http.StatusGatewayTimeout, "evaluation exceeded the %v request timeout", s.opts.RequestTimeout)
 		case errors.Is(err, context.Canceled):
-			return nil, &httpError{code: http.StatusServiceUnavailable, msg: "request cancelled"}
+			writeError(w, http.StatusServiceUnavailable, "request cancelled")
 		default:
 			// Validation re-runs inside EvaluateRequest; anything it
 			// rejects after the parse above is still a client error.
-			return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+			writeError(w, http.StatusBadRequest, "%v", err)
 		}
+		return
 	}
 	data, err := json.Marshal(resp)
 	if err != nil {
-		return nil, &httpError{code: http.StatusInternalServerError, msg: "response encoding failed"}
+		writeError(w, http.StatusInternalServerError, "response encoding failed")
+		return
 	}
 	data = append(data, '\n') // exact writeJSON framing, so all paths are byte-identical
-	s.respCache.put(ringKey, data)
-	return data, nil
+	s.respCache.put(evalKey, data)
+	s.respCache.put(bodyKey, data)
+	writeJSONBytes(w, http.StatusOK, data)
 }
 
 // maxBodyPrealloc caps how much readBody allocates up front on the word

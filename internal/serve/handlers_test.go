@@ -318,6 +318,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"buspower_raw_meter_memo_hits",
 		"buspower_pool_inflight 0",
 		"buspower_pool_rejected_total",
+		"buspower_response_cache_hits",
+		"buspower_response_cache_misses",
+		"buspower_response_cache_evictions",
+		"buspower_response_cache_entries",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics exposition missing %q", want)

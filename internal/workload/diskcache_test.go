@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"buspower/internal/cpu"
@@ -189,5 +192,82 @@ func TestDiskCacheDisabledByDefault(t *testing.T) {
 	s := Stats()
 	if s.DiskHits != 0 || s.DiskMisses != 0 || s.DiskErrors != 0 {
 		t.Fatalf("disk layer active while disabled: %+v", s)
+	}
+}
+
+// TestDiskCacheSharedDirConcurrentWriters models several replicas that
+// point -trace-cache at one directory: writers store the same entry at
+// once while readers poll it. The atomic temp-and-rename must make every
+// read either a plain miss or the complete TraceSet, never a torn or
+// checksum-failing file, and must leave no temp files behind.
+func TestDiskCacheSharedDirConcurrentWriters(t *testing.T) {
+	w, err := ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(w, diskTestCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	key := traceCacheKey(w, cpu.DefaultConfig(), diskTestCfg)
+	path := traceCachePath(dir, key)
+
+	const writers, readers, stores = 4, 4, 10
+	var writing, reading sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < writers; i++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for j := 0; j < stores; j++ {
+				if err := storeTraceSet(dir, key, want); err != nil {
+					t.Errorf("store: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < readers; i++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, err := loadTraceSet(path, "li")
+				switch {
+				case errors.Is(err, fs.ErrNotExist):
+				case err != nil:
+					t.Errorf("read during concurrent stores: %v", err)
+					return
+				case !reflect.DeepEqual(got, want):
+					t.Error("read a TraceSet that differs from the one written")
+					return
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+
+	got, err := loadTraceSet(path, "li")
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("final read: err %v, equal %v", err, reflect.DeepEqual(got, want))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != key+".trc" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v, want only %s.trc", names, key)
 	}
 }

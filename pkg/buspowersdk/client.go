@@ -21,8 +21,7 @@ import (
 	"time"
 )
 
-// Client talks to one buspower server (or one replica of a shard
-// group — replicas route internally, so any member works).
+// Client talks to one buspower server.
 type Client struct {
 	base    string
 	httpc   *http.Client
